@@ -262,11 +262,9 @@ void BM_ExecuteUnionParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteUnionParallel)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-// Hash-join probe loop with and without software prefetch of the upcoming
-// probe's hash-table slot (EngineProfile::prefetch_probes). The build and
-// probe sides are the two largest scans of the fixture, so the table
-// outgrows L2 and the probe loop is memory-latency-bound — the regime the
-// prefetch targets.
+// Hash-join probe loop. The build and probe sides are the two largest scans
+// of the fixture, so the table outgrows L2 and the probe loop is
+// memory-latency-bound.
 void BM_HashJoinProbe(benchmark::State& state) {
   MicroEnv& env = Env();
   Relation left = ScanAtom(env.store,
@@ -278,7 +276,7 @@ void BM_HashJoinProbe(benchmark::State& state) {
                                           PatternTerm::Const(env.takes_course),
                                           PatternTerm::Var(2)});
   for (auto _ : state) {
-    Relation joined = HashJoin(left, right, /*prefetch=*/false);
+    Relation joined = HashJoin(left, right);
     benchmark::DoNotOptimize(joined.num_rows());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -286,26 +284,6 @@ void BM_HashJoinProbe(benchmark::State& state) {
                                                right.num_rows()));
 }
 BENCHMARK(BM_HashJoinProbe);
-
-void BM_HashJoinProbePrefetch(benchmark::State& state) {
-  MicroEnv& env = Env();
-  Relation left = ScanAtom(env.store,
-                           TriplePattern{PatternTerm::Var(0),
-                                         PatternTerm::Const(env.rdf_type),
-                                         PatternTerm::Var(1)});
-  Relation right = ScanAtom(env.store,
-                            TriplePattern{PatternTerm::Var(0),
-                                          PatternTerm::Const(env.takes_course),
-                                          PatternTerm::Var(2)});
-  for (auto _ : state) {
-    Relation joined = HashJoin(left, right, /*prefetch=*/true);
-    benchmark::DoNotOptimize(joined.num_rows());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(left.num_rows() +
-                                               right.num_rows()));
-}
-BENCHMARK(BM_HashJoinProbePrefetch);
 
 // Hierarchy-range collapse fixture (DESIGN.md §12): one university with 240
 // fine-grained professor specialty leaf classes, so `?x type ub:Professor`

@@ -10,8 +10,9 @@
 //
 // It also prices the rest of the telemetry layer per call — windowed
 // histogram observation, a non-qualifying slow-log check, feedback
-// record+lookup, fragment canonicalization, and a full Prometheus
-// rendering — the numbers that justify "always-on" for each path.
+// record+lookup, the feedback store's key (fragment canonicalization), and
+// a full Prometheus rendering — the numbers that justify "always-on" for
+// each path.
 
 #include "bench_common.h"
 
@@ -22,6 +23,7 @@
 #include "engine/evaluator.h"
 #include "engine/planner.h"
 #include "reformulation/reformulator.h"
+#include "service/canonical.h"
 #include "service/slow_log.h"
 #include "workload/query_sets.h"
 
@@ -160,10 +162,13 @@ int Main(int argc, char** argv) {
     }
   });
 
-  TimeCase("fragment_signature_1k", /*warmup=*/1, reps, [&] {
+  // The feedback store's key: Canonicalize over the fragment's body.
+  ConjunctiveQuery body;
+  body.atoms = fragment.atoms;
+  TimeCase("feedback_key_1k", /*warmup=*/1, reps, [&] {
     for (size_t i = 0; i < 1'000; ++i) {
-      std::string sig = FragmentSignature(fragment);
-      if (sig.empty()) std::abort();
+      std::string key = Canonicalize(body).key;
+      if (key.empty()) std::abort();
     }
   });
 

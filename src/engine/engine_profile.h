@@ -92,11 +92,6 @@ struct EngineProfile {
   /// shell (`.encoding on`), benchmarks and the hierarchy test suites.
   bool hierarchy_ranges = false;
 
-  /// Issues software prefetches ahead of the probe loops of the hash join
-  /// and the radix dedup (ROADMAP "Prefetching + SIMD", first slice). Pure
-  /// execution tweak: results are bit-identical either way.
-  bool prefetch_probes = false;
-
   /// Calibrated §4.1 cost-model constants for this engine.
   CostConstants cost;
 };

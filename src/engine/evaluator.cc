@@ -346,7 +346,7 @@ Result<RelHandle> Evaluator::ExecHashJoin(PlanNode* node, Exec* exec) const {
     node->hash_probes = probes;
   }
   ChargeEmulated(exec, profile_->tuple_us_per_row * static_cast<double>(inputs));
-  Relation out = HashJoin(lrel, rrel, profile_->prefetch_probes);
+  Relation out = HashJoin(lrel, rrel);
   span.Attr("join_input_rows", inputs);
   span.Attr("output_rows", out.num_rows());
   NoteResult(node, out);
@@ -593,7 +593,7 @@ Result<RelHandle> Evaluator::ExecDedup(PlanNode* node, Exec* exec) const {
   // is bit-identical, not just set-equal.
   if (node->children[0]->kind != PlanNodeKind::kViewScan) {
     exec->metrics->duplicates_removed +=
-        out.Deduplicate(profile_->prefetch_probes);
+        out.Deduplicate();
   }
   // Opportunistic view harvest (DESIGN.md §14): a component root whose
   // signature was stamped at plan time (no catalog hit then) offers its

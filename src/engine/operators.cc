@@ -96,16 +96,6 @@ class JoinTable {
   /// Next build row with the same key (build insertion order), or kNoRow.
   uint32_t Next(uint32_t row) const { return next_[row]; }
 
-  /// Hints the cache at the home slot of a future probe. The table exceeds
-  /// L2 on large builds, so issuing this a few probes ahead hides the
-  /// first-slot miss (collision chains still fault, but the first touch
-  /// dominates at our load factor).
-  void PrefetchSlot(uint64_t hash) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&slots_[static_cast<size_t>(hash) & mask_]);
-#endif
-  }
-
  private:
   void Insert(uint32_t row) {
     const uint64_t hash = hashes_[row];
@@ -265,8 +255,7 @@ Relation ScanRange(const TripleStore& store, const TriplePattern& rep_atom,
   return out;
 }
 
-Relation HashJoin(const Relation& left, const Relation& right,
-                  bool prefetch) {
+Relation HashJoin(const Relation& left, const Relation& right) {
   // Shared columns and the right-only tail of the output schema.
   std::vector<std::pair<int, int>> shared;  // (left col, right col)
   std::vector<int> right_only;
@@ -382,11 +371,7 @@ Relation HashJoin(const Relation& left, const Relation& right,
     for (size_t i = 0; i < n; ++i) {
       probe_hashes[i] = HashKey(probe_keys.data() + i * key_arity, key_arity);
     }
-    constexpr size_t kPrefetchDistance = 8;
     for (size_t i = 0; i < n; ++i) {
-      if (prefetch && i + kPrefetchDistance < n) {
-        table.PrefetchSlot(probe_hashes[i + kPrefetchDistance]);
-      }
       uint32_t bi = table.Find(probe_keys.data() + i * key_arity,
                                probe_hashes[i]);
       const size_t pi = begin + i;
@@ -549,11 +534,6 @@ Relation ProjectWithBindings(
 void ProjectInto(Relation* acc, const Relation& input,
                  const std::vector<std::pair<VarId, ValueId>>& bindings) {
   ProjectAppend(acc, input, bindings);
-}
-
-void UnionInto(Relation* acc, const Relation& input,
-               const std::vector<std::pair<VarId, ValueId>>& bindings) {
-  ProjectInto(acc, input, bindings);
 }
 
 }  // namespace rdfopt

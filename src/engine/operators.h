@@ -43,11 +43,8 @@ size_t ScanRangeInputSize(const TripleStore& store, bool class_space,
 
 /// Natural hash join on the shared columns (build on the smaller input).
 /// With no shared column this is the cartesian product. Output columns:
-/// left columns, then right-only columns. `prefetch` issues software
-/// prefetches ahead of the probe loop (EngineProfile::prefetch_probes);
-/// results are identical either way.
-Relation HashJoin(const Relation& left, const Relation& right,
-                  bool prefetch = false);
+/// left columns, then right-only columns.
+Relation HashJoin(const Relation& left, const Relation& right);
 
 /// Index nested-loop join of `left` with one triple pattern: for every left
 /// row, the atom's variable positions covered by `left` are bound to the
@@ -65,16 +62,11 @@ Relation IndexJoinAtom(const TripleStore& store, const Relation& left,
                        const TriplePattern& atom, size_t* rows_probed);
 
 /// Appends `input`, projected/reordered to `acc`'s columns, directly to
-/// `acc` — no intermediate Relation is materialized (the per-disjunct copy
-/// UnionInto used to make). `bindings` supplies constant values for acc
-/// columns missing from `input` (reformulation-time head bindings, see
-/// ConjunctiveQuery::head_bindings).
+/// `acc` — no intermediate Relation is materialized. `bindings` supplies
+/// constant values for acc columns missing from `input` (reformulation-time
+/// head bindings, see ConjunctiveQuery::head_bindings).
 void ProjectInto(Relation* acc, const Relation& input,
                  const std::vector<std::pair<VarId, ValueId>>& bindings);
-
-/// Legacy spelling of ProjectInto (kept for callers/tests that predate it).
-void UnionInto(Relation* acc, const Relation& input,
-               const std::vector<std::pair<VarId, ValueId>>& bindings);
 
 /// Projection of `input` onto `head`, with constants for head variables
 /// covered by `bindings` rather than by input columns.

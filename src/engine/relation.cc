@@ -162,21 +162,10 @@ class FlatIndexTable {
     }
   }
 
-  /// Hints the cache at the home slot of a future probe (see
-  /// JoinTable::PrefetchSlot; same rationale).
-  void PrefetchSlot(uint64_t hash) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&slots_[static_cast<size_t>(hash) & mask_]);
-#endif
-  }
-
  private:
   std::vector<uint32_t> slots_;
   size_t mask_ = 0;
 };
-
-/// How many probes ahead the dedup loops prefetch.
-constexpr size_t kDedupPrefetchDistance = 8;
 
 /// Inputs below this size skip partitioning: one table already fits the
 /// cache and the scatter pass would be pure overhead.
@@ -185,7 +174,7 @@ constexpr size_t kDedupPartitions = 256;  // Radix on the top 8 hash bits.
 
 }  // namespace
 
-size_t Relation::Deduplicate(bool prefetch) {
+size_t Relation::Deduplicate() {
   if (columns_.empty()) {
     size_t removed = scalar_rows_ > 1 ? scalar_rows_ - 1 : 0;
     scalar_rows_ = scalar_rows_ > 0 ? 1 : 0;
@@ -204,9 +193,6 @@ size_t Relation::Deduplicate(bool prefetch) {
   if (rows < kDedupPartitionThreshold) {
     FlatIndexTable table(rows);
     for (size_t r = 0; r < rows; ++r) {
-      if (prefetch && r + kDedupPrefetchDistance < rows) {
-        table.PrefetchSlot(hashes[r + kDedupPrefetchDistance]);
-      }
       keep[r] = table.InsertIfNew(hashes[r], static_cast<uint32_t>(r),
                                   cells_.data(), arity, hashes.data());
     }
@@ -235,9 +221,6 @@ size_t Relation::Deduplicate(bool prefetch) {
       const uint32_t* begin = part_rows.data() + offsets[p];
       for (size_t i = 0; i < counts[p]; ++i) {
         const uint32_t r = begin[i];
-        if (prefetch && i + kDedupPrefetchDistance < counts[p]) {
-          table.PrefetchSlot(hashes[begin[i + kDedupPrefetchDistance]]);
-        }
         keep[r] = table.InsertIfNew(hashes[r], r, cells_.data(), arity,
                                     hashes.data());
       }

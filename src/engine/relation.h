@@ -114,10 +114,8 @@ class Relation {
   /// number removed. Radix-partitioned hash dedup: per-row hashes are
   /// computed batch-at-a-time, large inputs are partitioned by hash prefix
   /// so each partition's table stays cache-resident, and survivors are
-  /// compacted in one stable pass (see DESIGN.md §11). `prefetch` issues
-  /// software prefetches ahead of the table probe loops
-  /// (EngineProfile::prefetch_probes); results are identical either way.
-  size_t Deduplicate(bool prefetch = false);
+  /// compacted in one stable pass (see DESIGN.md §11).
+  size_t Deduplicate();
 
   /// Sort-based dedup variant with the same stable first-occurrence
   /// contract; the baseline BM_Deduplicate compares it against the radix

@@ -36,6 +36,7 @@ AtomRank RankAtom(const TriplePattern& atom, const Assignment& assigned) {
   return {rank(atom.s), rank(atom.p), rank(atom.o)};
 }
 
+/// Gives `v` the next canonical number unless it already has one.
 void AssignVar(Assignment* assigned, VarId v) {
   assigned->emplace(v, static_cast<VarId>(assigned->size()));
 }
@@ -43,35 +44,64 @@ void AssignVar(Assignment* assigned, VarId v) {
 /// Commits the atom's not-yet-assigned variables in s,p,o order.
 void AssignAtomVars(Assignment* assigned, const TriplePattern& atom) {
   for (const PatternTerm* t : {&atom.s, &atom.p, &atom.o}) {
-    if (t->is_var() && !assigned->contains(t->var())) {
-      AssignVar(assigned, t->var());
-    }
+    if (t->is_var()) AssignVar(assigned, t->var());
   }
 }
 
-void AppendTerm(std::string* out, const PatternTerm& t) {
+void AppendTerm(std::string* out, const PatternTerm& t,
+                const Assignment& assigned) {
   if (t.is_var()) {
-    *out += '?';
-    *out += std::to_string(t.var());
+    *out += 'v';
+    *out += std::to_string(assigned.at(t.var()));
   } else {
-    *out += '#';
+    *out += 'c';
     *out += std::to_string(t.value());
   }
 }
 
-/// Serializes `atom` under `assigned`, which must cover all its variables.
+/// Serializes `atom` as `(s,p,o)` under `assigned`, which must cover all its
+/// variables. Canonicalize's tie-break compares these strings, so the
+/// syntax fixes its order: constants (`c`) before variables (`v`), and
+/// separators before digits (a shorter number sorts first).
 void AppendAtom(std::string* out, const TriplePattern& atom,
                 const Assignment& assigned) {
-  auto map = [&](const PatternTerm& t) {
-    return t.is_var() ? PatternTerm::Var(assigned.at(t.var())) : t;
-  };
   *out += '(';
-  AppendTerm(out, map(atom.s));
-  *out += ' ';
-  AppendTerm(out, map(atom.p));
-  *out += ' ';
-  AppendTerm(out, map(atom.o));
+  AppendTerm(out, atom.s, assigned);
+  *out += ',';
+  AppendTerm(out, atom.p, assigned);
+  *out += ',';
+  AppendTerm(out, atom.o, assigned);
   *out += ')';
+}
+
+/// Serializes one conjunctive query under `assigned`: its head `v0,v1`,
+/// `:`, its atoms in order joined by `;`, then its head bindings sorted by
+/// renamed variable as `!v<n>=<id>` (a binding list is a map; its order
+/// does not affect projection).
+void AppendDisjunct(std::string* out, const ConjunctiveQuery& cq,
+                    const Assignment& assigned) {
+  for (size_t i = 0; i < cq.head.size(); ++i) {
+    if (i != 0) *out += ',';
+    *out += 'v';
+    *out += std::to_string(assigned.at(cq.head[i]));
+  }
+  *out += ':';
+  for (size_t i = 0; i < cq.atoms.size(); ++i) {
+    if (i != 0) *out += ';';
+    AppendAtom(out, cq.atoms[i], assigned);
+  }
+  std::vector<std::pair<VarId, ValueId>> bindings;
+  bindings.reserve(cq.head_bindings.size());
+  for (const auto& [var, value] : cq.head_bindings) {
+    bindings.emplace_back(assigned.at(var), value);
+  }
+  std::sort(bindings.begin(), bindings.end());
+  for (const auto& [var, value] : bindings) {
+    *out += "!v";
+    *out += std::to_string(var);
+    *out += '=';
+    *out += std::to_string(value);
+  }
 }
 
 size_t MinRankedAtom(const std::vector<const TriplePattern*>& remaining,
@@ -116,9 +146,7 @@ CanonicalizedQuery Canonicalize(const ConjunctiveQuery& cq) {
 
   // Head variables are anchored by position: the i-th head slot of every
   // α-equivalent input names the same output column.
-  for (VarId v : cq.head) {
-    if (!assigned.contains(v)) AssignVar(&assigned, v);
-  }
+  for (VarId v : cq.head) AssignVar(&assigned, v);
 
   // Greedily emit the minimally-ranked remaining atom, then commit its new
   // variables in s,p,o order. The ranking depends only on constants and on
@@ -131,8 +159,11 @@ CanonicalizedQuery Canonicalize(const ConjunctiveQuery& cq) {
   remaining.reserve(cq.atoms.size());
   for (const TriplePattern& atom : cq.atoms) remaining.push_back(&atom);
 
-  ConjunctiveQuery canonical;
-  canonical.atoms.reserve(cq.atoms.size());
+  // `cq` with its atoms in canonical order, still under its own names.
+  ConjunctiveQuery ordered;
+  ordered.head = cq.head;
+  ordered.head_bindings = cq.head_bindings;
+  ordered.atoms.reserve(cq.atoms.size());
   std::vector<size_t> tied;
   while (!remaining.empty()) {
     size_t pick = MinRankedAtom(remaining, assigned, &tied);
@@ -157,57 +188,55 @@ CanonicalizedQuery Canonicalize(const ConjunctiveQuery& cq) {
     }
     const TriplePattern& atom = *remaining[pick];
     AssignAtomVars(&assigned, atom);
-    TriplePattern mapped;
-    auto map = [&](const PatternTerm& t) {
-      return t.is_var() ? PatternTerm::Var(assigned.at(t.var())) : t;
-    };
-    mapped.s = map(atom.s);
-    mapped.p = map(atom.p);
-    mapped.o = map(atom.o);
-    canonical.atoms.push_back(mapped);
+    ordered.atoms.push_back(atom);
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(pick));
   }
 
-  canonical.head.reserve(cq.head.size());
-  for (VarId v : cq.head) canonical.head.push_back(assigned.at(v));
+  CanonicalizedQuery result;
+  result.key = "h" + std::to_string(cq.head.size()) + '|';
+  AppendDisjunct(&result.key, ordered, assigned);
+
+  auto map = [&](const PatternTerm& t) {
+    return t.is_var() ? PatternTerm::Var(assigned.at(t.var())) : t;
+  };
+  ConjunctiveQuery& canonical = result.query.cq;
+  canonical.head.reserve(ordered.head.size());
+  for (VarId v : ordered.head) canonical.head.push_back(assigned.at(v));
+  canonical.atoms.reserve(ordered.atoms.size());
+  for (const TriplePattern& atom : ordered.atoms) {
+    canonical.atoms.push_back({map(atom.s), map(atom.p), map(atom.o)});
+  }
   // Parsed queries carry no head bindings; remap for totality (the service
   // only canonicalizes parsed queries, but the function shouldn't care).
-  canonical.head_bindings.reserve(cq.head_bindings.size());
-  for (const auto& [var, value] : cq.head_bindings) {
+  canonical.head_bindings.reserve(ordered.head_bindings.size());
+  for (const auto& [var, value] : ordered.head_bindings) {
     canonical.head_bindings.emplace_back(assigned.at(var), value);
   }
   std::sort(canonical.head_bindings.begin(), canonical.head_bindings.end());
 
-  CanonicalizedQuery result;
-  result.key.reserve(16 * canonical.atoms.size() + 8 * canonical.head.size());
-  result.key += 'H';
-  for (VarId v : canonical.head) {
-    result.key += '?';
-    result.key += std::to_string(v);
-    result.key += ',';
-  }
-  result.key += '|';
-  for (const TriplePattern& atom : canonical.atoms) {
-    result.key += '(';
-    AppendTerm(&result.key, atom.s);
-    result.key += ' ';
-    AppendTerm(&result.key, atom.p);
-    result.key += ' ';
-    AppendTerm(&result.key, atom.o);
-    result.key += ')';
-  }
-  for (const auto& [var, value] : canonical.head_bindings) {
-    result.key += "|b?";
-    result.key += std::to_string(var);
-    result.key += "=#";
-    result.key += std::to_string(value);
-  }
-
   for (size_t i = 0; i < assigned.size(); ++i) {
     result.query.vars.GetOrCreate("c" + std::to_string(i));
   }
-  result.query.cq = std::move(canonical);
   return result;
+}
+
+std::string ViewSignature(const UnionQuery& ucq) {
+  std::string signature = "h" + std::to_string(ucq.head.size());
+  for (const ConjunctiveQuery& d : ucq.disjuncts) {
+    // Per-disjunct numbering in query order, no sorting anywhere: atom
+    // order is part of the key. The union head comes first — it is the
+    // view's column layout.
+    Assignment assigned;
+    for (VarId v : ucq.head) AssignVar(&assigned, v);
+    for (VarId v : d.head) AssignVar(&assigned, v);
+    for (const TriplePattern& atom : d.atoms) AssignAtomVars(&assigned, atom);
+    for (const auto& binding : d.head_bindings) {
+      AssignVar(&assigned, binding.first);
+    }
+    signature += '|';
+    AppendDisjunct(&signature, d, assigned);
+  }
+  return signature;
 }
 
 }  // namespace rdfopt

@@ -7,6 +7,14 @@
 
 namespace rdfopt {
 
+// The one place that renumbers query variables and serializes a query into
+// an identity key. Two entry points share the variable assignment and the
+// serializer: Canonicalize (order-free; keys the plan cache and the
+// estimate-feedback store) and ViewSignature (order-preserving; keys the
+// view catalog). Both render in one syntax: variables `v<n>` by canonical
+// number, constants `c<id>`, atoms `(s,p,o)` joined by `;`, a head
+// `v0,v1` closed by `:`, and head bindings sorted as `!v<n>=<id>`.
+
 /// A BGP query normalized into the service's cache identity.
 ///
 /// Two parsed queries that differ only in variable names (α-equivalence) or
@@ -21,7 +29,8 @@ struct CanonicalizedQuery {
   /// is answerable as-is (reformulation draws fresh "_f*" variables on top).
   Query query;
   /// Stable serialization of `query.cq` — the cache key (the cache pairs it
-  /// with the data epoch). Equal keys imply literally identical canonical
+  /// with the data epoch). It is the ViewSignature of `query.cq` as a
+  /// one-disjunct union. Equal keys imply literally identical canonical
   /// queries, hence identical answer rows in identical column order.
   std::string key;
 };
@@ -37,6 +46,19 @@ struct CanonicalizedQuery {
 /// different-but-equivalent keys depending on input order — a missed cache
 /// hit, never a wrong answer.
 CanonicalizedQuery Canonicalize(const ConjunctiveQuery& cq);
+
+/// Canonical signature of a whole component UCQ — the key of the
+/// materialized-view catalog (DESIGN.md §14). Invariant under variable
+/// renaming, but deliberately NOT under disjunct or atom permutation, and it
+/// includes the head and per-disjunct head bindings: a view substitutes a
+/// component's *rows in order*, and the planner derives atom order (greedy,
+/// tie-broken by input position) and union output order from exactly this
+/// syntactic shape. Each disjunct is numbered on its own: the union head
+/// first, then the disjunct's head, its atoms in query order and its
+/// bindings. Two components with equal ViewSignature therefore plan to the
+/// same tree modulo variable names and produce bit-identical rows against
+/// the same snapshot.
+std::string ViewSignature(const UnionQuery& ucq);
 
 }  // namespace rdfopt
 

@@ -33,6 +33,18 @@ ConjunctiveQuery TwoAtomCq() {
   return cq;
 }
 
+// The fragment signature is the store's key: Canonicalize
+// (service/canonical.h) over the fragment's body. It is observed here
+// through Record and Lookup: two fragments share a signature iff recording
+// one makes Lookup hit for the other without growing the store.
+bool ShareSignature(const ConjunctiveQuery& a, const ConjunctiveQuery& b) {
+  EstimateFeedbackStore store;
+  store.Record(a, 1.0, 7);
+  const bool hit = store.Lookup(b).has_value();
+  store.Record(b, 1.0, 7);
+  return hit && store.size() == 1;
+}
+
 TEST(FragmentSignatureTest, InvariantUnderAtomOrderAndRenaming) {
   ConjunctiveQuery a = TwoAtomCq();
 
@@ -44,14 +56,14 @@ TEST(FragmentSignatureTest, InvariantUnderAtomOrderAndRenaming) {
   b.atoms.push_back(
       Atom(PatternTerm::Var(7), PatternTerm::Const(1), PatternTerm::Var(3)));
 
-  EXPECT_EQ(FragmentSignature(a), FragmentSignature(b));
+  EXPECT_TRUE(ShareSignature(a, b));
 }
 
 TEST(FragmentSignatureTest, HeadIsExcluded) {
   ConjunctiveQuery a = TwoAtomCq();
   ConjunctiveQuery b = TwoAtomCq();
   b.head = {0, 1};  // Different projection, same conjunction body.
-  EXPECT_EQ(FragmentSignature(a), FragmentSignature(b));
+  EXPECT_TRUE(ShareSignature(a, b));
 }
 
 TEST(FragmentSignatureTest, ConstantsAndStructureMatter) {
@@ -59,12 +71,12 @@ TEST(FragmentSignatureTest, ConstantsAndStructureMatter) {
 
   ConjunctiveQuery different_const = TwoAtomCq();
   different_const.atoms[1].p = PatternTerm::Const(3);
-  EXPECT_NE(FragmentSignature(a), FragmentSignature(different_const));
+  EXPECT_FALSE(ShareSignature(a, different_const));
 
   // Breaking the join (different subject variables) changes the signature.
   ConjunctiveQuery disconnected = TwoAtomCq();
   disconnected.atoms[1].s = PatternTerm::Var(9);
-  EXPECT_NE(FragmentSignature(a), FragmentSignature(disconnected));
+  EXPECT_FALSE(ShareSignature(a, disconnected));
 }
 
 TEST(EstimateFeedbackStoreTest, RecordsEwmaOfActuals) {
@@ -96,6 +108,32 @@ TEST(EstimateFeedbackStoreTest, LookupIsAlphaInvariant) {
       Atom(PatternTerm::Var(4), PatternTerm::Const(1), PatternTerm::Var(8)));
   ASSERT_TRUE(store.Lookup(renamed).has_value());
   EXPECT_DOUBLE_EQ(*store.Lookup(renamed), 42.0);
+}
+
+TEST(EstimateFeedbackStoreTest, SamePropertyChainSharesOneEntry) {
+  // (?a p ?b)(?b p ?c): both atoms look alike until variables are numbered,
+  // so only a canonical tie-break makes the key independent of atom order.
+  ConjunctiveQuery chain;
+  chain.atoms.push_back(
+      Atom(PatternTerm::Var(0), PatternTerm::Const(1), PatternTerm::Var(1)));
+  chain.atoms.push_back(
+      Atom(PatternTerm::Var(1), PatternTerm::Const(1), PatternTerm::Var(2)));
+
+  // The same chain, atoms reversed, variables renamed (a->9, b->4, c->6).
+  ConjunctiveQuery reversed;
+  reversed.atoms.push_back(
+      Atom(PatternTerm::Var(4), PatternTerm::Const(1), PatternTerm::Var(6)));
+  reversed.atoms.push_back(
+      Atom(PatternTerm::Var(9), PatternTerm::Const(1), PatternTerm::Var(4)));
+
+  EstimateFeedbackStore store;
+  store.Record(chain, 50.0, 10);
+  store.Record(reversed, 50.0, 30);
+  EXPECT_EQ(store.size(), 1u);
+  ASSERT_TRUE(store.Lookup(chain).has_value());
+  ASSERT_TRUE(store.Lookup(reversed).has_value());
+  EXPECT_DOUBLE_EQ(*store.Lookup(chain), 20.0);
+  EXPECT_DOUBLE_EQ(*store.Lookup(reversed), 20.0);
 }
 
 TEST(EstimateFeedbackStoreTest, FifoEvictionBoundsTheStore) {

@@ -154,23 +154,23 @@ TEST(ProjectTest, EmptyHeadGivesBooleanResult) {
   EXPECT_EQ(out.num_rows(), 1u);
 }
 
-TEST(UnionIntoTest, AlignsColumnsAndAppliesBindings) {
+TEST(ProjectIntoTest, AlignsColumnsAndAppliesBindings) {
   Relation acc({0, 1});
   acc.AppendRow(std::vector<ValueId>{1, 2});
   // Input has column 0 only; column 1 supplied by a binding.
   Relation input({0});
   input.AppendRow(std::vector<ValueId>{5});
-  UnionInto(&acc, input, {{1, 77}});
+  ProjectInto(&acc, input, {{1, 77}});
   ASSERT_EQ(acc.num_rows(), 2u);
   EXPECT_EQ(acc.at(1, 0), 5u);
   EXPECT_EQ(acc.at(1, 1), 77u);
 }
 
-TEST(UnionIntoTest, ReorderedInputColumns) {
+TEST(ProjectIntoTest, ReorderedInputColumns) {
   Relation acc({0, 1});
   Relation input({1, 0});
   input.AppendRow(std::vector<ValueId>{20, 10});
-  UnionInto(&acc, input, {});
+  ProjectInto(&acc, input, {});
   ASSERT_EQ(acc.num_rows(), 1u);
   EXPECT_EQ(acc.at(0, 0), 10u);
   EXPECT_EQ(acc.at(0, 1), 20u);

@@ -97,6 +97,56 @@ TEST_F(ServiceCanonicalTest, CanonicalQueryIsAnswerableForm) {
 }
 
 // ---------------------------------------------------------------------------
+// ViewSignature: the keying contract (see service/canonical.h).
+// ---------------------------------------------------------------------------
+
+/// q(?0) :- ?0 <p> ?1 — signatures differ by the property constant.
+UnionQuery OneAtomUcq(ValueId p) {
+  UnionQuery ucq;
+  ucq.head = {0};
+  ConjunctiveQuery d;
+  d.head = {0};
+  d.atoms.push_back(TriplePattern{PatternTerm::Var(0), PatternTerm::Const(p),
+                                  PatternTerm::Var(1)});
+  ucq.disjuncts.push_back(d);
+  return ucq;
+}
+
+TEST(ViewSignatureTest, InvariantUnderVariableRenaming) {
+  UnionQuery a = OneAtomUcq(7);
+  UnionQuery b = a;
+  // Rename every variable: 0 -> 5, 1 -> 9.
+  b.head = {5};
+  b.disjuncts[0].head = {5};
+  b.disjuncts[0].atoms[0].s = PatternTerm::Var(5);
+  b.disjuncts[0].atoms[0].o = PatternTerm::Var(9);
+  EXPECT_EQ(ViewSignature(a), ViewSignature(b));
+}
+
+TEST(ViewSignatureTest, SensitiveToConstantsHeadAndOrder) {
+  UnionQuery base = OneAtomUcq(7);
+  EXPECT_NE(ViewSignature(base), ViewSignature(OneAtomUcq(8)));
+
+  // Head order matters: the head is the view's column layout.
+  UnionQuery swapped = base;
+  swapped.head = {1};
+  swapped.disjuncts[0].head = {1};
+  EXPECT_NE(ViewSignature(base), ViewSignature(swapped));
+
+  // Disjunct order matters: the union's output order follows it.
+  UnionQuery two = base;
+  two.disjuncts.push_back(OneAtomUcq(8).disjuncts[0]);
+  UnionQuery reversed = two;
+  std::swap(reversed.disjuncts[0], reversed.disjuncts[1]);
+  EXPECT_NE(ViewSignature(two), ViewSignature(reversed));
+
+  // Head bindings are part of the result, hence of the key.
+  UnionQuery bound = base;
+  bound.disjuncts[0].head_bindings.emplace_back(1, ValueId{42});
+  EXPECT_NE(ViewSignature(base), ViewSignature(bound));
+}
+
+// ---------------------------------------------------------------------------
 // Plan cache
 // ---------------------------------------------------------------------------
 

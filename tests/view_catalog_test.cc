@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cost/feedback.h"
+#include "service/canonical.h"
 #include "service/epoch_guard.h"
 #include "views/view_advisor.h"
 
@@ -57,44 +57,6 @@ std::string Admit(ViewCatalog* catalog, const UnionQuery& ucq, size_t rows,
   Relation r = TwoColRelation(rows);
   catalog->Offer(signature, r, epoch);
   return signature;
-}
-
-// ---------------------------------------------------------------------------
-// ViewSignature: the keying contract (see cost/feedback.h).
-// ---------------------------------------------------------------------------
-
-TEST(ViewSignatureTest, InvariantUnderVariableRenaming) {
-  UnionQuery a = OneAtomUcq(7);
-  UnionQuery b = a;
-  // Rename every variable: 0 -> 5, 1 -> 9.
-  b.head = {5};
-  b.disjuncts[0].head = {5};
-  b.disjuncts[0].atoms[0].s = PatternTerm::Var(5);
-  b.disjuncts[0].atoms[0].o = PatternTerm::Var(9);
-  EXPECT_EQ(ViewSignature(a), ViewSignature(b));
-}
-
-TEST(ViewSignatureTest, SensitiveToConstantsHeadAndOrder) {
-  UnionQuery base = OneAtomUcq(7);
-  EXPECT_NE(ViewSignature(base), ViewSignature(OneAtomUcq(8)));
-
-  // Head order matters: the head is the view's column layout.
-  UnionQuery swapped = base;
-  swapped.head = {1};
-  swapped.disjuncts[0].head = {1};
-  EXPECT_NE(ViewSignature(base), ViewSignature(swapped));
-
-  // Disjunct order matters: the union's output order follows it.
-  UnionQuery two = base;
-  two.disjuncts.push_back(OneAtomUcq(8).disjuncts[0]);
-  UnionQuery reversed = two;
-  std::swap(reversed.disjuncts[0], reversed.disjuncts[1]);
-  EXPECT_NE(ViewSignature(two), ViewSignature(reversed));
-
-  // Head bindings are part of the result, hence of the key.
-  UnionQuery bound = base;
-  bound.disjuncts[0].head_bindings.emplace_back(1, ValueId{42});
-  EXPECT_NE(ViewSignature(base), ViewSignature(bound));
 }
 
 // ---------------------------------------------------------------------------
