@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Telemetry smoke test: starts rdfopt_server on a small LUBM dataset, drives
 # a few queries over the line protocol, scrapes the Prometheus endpoint
-# (`!prom`) and the slow-query log (`!slowlog`), and validates both formats.
+# (`!prom`) and the slow-query log (`!slowlog`), and validates both formats;
+# then checks the `!views` and `!stats` replies and that `!slowlog clear`
+# empties the log.
 #
 # Usage: ci/prom_smoke.sh [build_dir]   (default: build)
 set -euo pipefail
@@ -137,6 +139,21 @@ assert json.loads(slow[0])["cache_hit"] is False
 assert json.loads(slow[1])["cache_hit"] is True
 assert (json.loads(slow[0])["plan_digest"]
         == json.loads(slow[1])["plan_digest"]), "digest changed across cache"
+
+# --- !stats: service counters -------------------------------------------
+send("!stats")
+stats = json.loads(read_line())
+for key in ("cache", "admission"):
+    assert key in stats, f"!stats missing {key}: {stats}"
+assert stats["cache"]["hits"] >= 1 and stats["cache"]["misses"] >= 1, stats
+assert stats["admission"]["admitted"] >= 2, stats
+
+# --- !slowlog clear: the next listing is empty ---------------------------
+send("!slowlog clear")
+cleared = json.loads(read_line())
+assert cleared["ok"] is True, cleared
+send("!slowlog")
+assert read_until_eof() == [], "!slowlog not empty after !slowlog clear"
 
 send("!shutdown")
 print("prom_smoke: OK "

@@ -1,36 +1,24 @@
 // Minimal TCP front end over the QueryService (DESIGN.md §10): the serving
 // deployment of the library. Loads a dataset, builds one shared service and
-// answers queries for any number of concurrent clients, one per connection —
-// cache hits, admission control and epoch invalidation all come from the
-// service layer; this file is only sockets and JSON.
+// answers queries for any number of concurrent clients, one per connection.
+// Caching, admission and epochs come from the service, admin commands from
+// service/admin.h; this file is only sockets and framing.
 //
 // Usage:
-//   rdfopt_server [--port N] <file.nt> | --lubm <universities>
-//                 | --dblp <publications>
+//   rdfopt_server [--port N] [--max-rows N] [--slow-ms X] [--views on|off]
+//                 <file.nt> | --lubm <universities> | --dblp <publications>
 //
-// Line protocol (try it with `nc localhost 8094`): every request is one
-// line, every response is one JSON line.
-//
-//   <SPARQL query on a single line>
-//       -> {"ok":true,"columns":[...],"rows":[[...],...],"row_count":N,
-//           "truncated":false,"cache_hit":true,"epoch":0,
-//           "queue_wait_ms":...,"evaluate_ms":...,"total_ms":...}
-//       -> {"ok":false,"error":"..."} on parse/answer failure
-//   !stats      service counters (cache + admission) as JSON
-//   !metrics    the process metrics registry as JSON
-//   !prom       the registry in Prometheus text exposition format. The only
-//               multi-line response; scrape until the "# EOF" line (also
-//               what a Prometheus file_sd/blackbox relay should forward).
-//   !slowlog    the slow-query log, one JSON line per record, oldest first,
-//               terminated by a "# EOF" line
-//   !views      the materialized-view catalog (DESIGN.md §14): counters plus
-//               one entry per known fragment, as JSON. Views are on by
-//               default in the server (--views off disables them)
-//   !quit       closes this connection
-//   !shutdown   stops the whole server (drains open connections)
-//
-// Responses cap the materialized rows at --max-rows (default 100);
-// "row_count" is always the full count.
+// Line protocol (README "Serving"; try `nc localhost 8094`): one request
+// per line, one JSON line back.
+//   <SPARQL query>    {"ok":true,"columns":[...],"rows":[...],"row_count":N,
+//                     "cache_hit":...} or {"ok":false,"error":"..."}; rows
+//                     are capped at --max-rows (default 100)
+//   !<admin command>  the admin-command table of README "Serving": !stats,
+//                     !views, !slowlog [N|ms X|clear], !metrics [reset],
+//                     !prom. Multi-line replies end with a "# EOF" line
+//   !quit / !shutdown close this connection / stop the server (draining
+//                     open connections)
+// Views are on by default here (--views off disables them).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -42,20 +30,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json_writer.h"
-#include "common/metrics.h"
-#include "rdf/ntriples.h"
+#include "service/admin.h"
 #include "service/query_service.h"
-#include "workload/dblp.h"
-#include "workload/lubm.h"
 
 namespace {
 
@@ -86,22 +69,20 @@ bool SendLine(int fd, const std::string& text) {
   return true;
 }
 
+std::string ErrorResponse(const Status& status) {
+  JsonWriter json;
+  json.BeginObject().Key("ok").Value(false);
+  json.Key("error").Value(status.ToString()).EndObject();
+  return json.TakeString();
+}
+
 std::string QueryResponse(ServerState* state, const std::string& line) {
-  std::string text = line;
-  if (text.find("PREFIX") == std::string::npos &&
-      text.find("prefix") == std::string::npos) {
-    text = state->preamble + text;
-  }
-  Result<ServiceOutcome> result = state->service->AnswerText(text);
+  Result<ServiceOutcome> result =
+      state->service->AnswerText(WithPreamble(state->preamble, line));
+  if (!result.ok()) return ErrorResponse(result.status());
+  const ServiceOutcome& o = result.ValueOrDie();
   JsonWriter json;
   json.BeginObject();
-  if (!result.ok()) {
-    json.Key("ok").Value(false);
-    json.Key("error").Value(result.status().ToString());
-    json.EndObject();
-    return json.TakeString();
-  }
-  const ServiceOutcome& o = result.ValueOrDie();
   json.Key("ok").Value(true);
   json.Key("columns").BeginArray();
   for (const std::string& name : o.columns) json.Value(name);
@@ -127,69 +108,13 @@ std::string QueryResponse(ServerState* state, const std::string& line) {
   return json.TakeString();
 }
 
-std::string StatsResponse(ServerState* state) {
-  QueryService::Stats s = state->service->stats();
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("epoch").Value(uint64_t{s.epoch});
-  json.Key("cache").BeginObject();
-  json.Key("hits").Value(s.cache.hits);
-  json.Key("misses").Value(s.cache.misses);
-  json.Key("evictions").Value(s.cache.evictions);
-  json.Key("stale_puts").Value(s.cache.stale_puts);
-  json.Key("entries").Value(uint64_t{s.cache.entries});
-  json.Key("bytes").Value(uint64_t{s.cache.bytes});
-  json.EndObject();
-  json.Key("admission").BeginObject();
-  json.Key("running").Value(uint64_t{s.admission.running});
-  json.Key("waiting").Value(uint64_t{s.admission.waiting});
-  json.Key("admitted").Value(s.admission.admitted);
-  json.Key("shed").Value(s.admission.shed);
-  json.Key("deadline_exceeded").Value(s.admission.deadline_exceeded);
-  json.EndObject();
-  json.EndObject();
-  return json.TakeString();
-}
-
-std::string ViewsResponse(ServerState* state) {
-  const ViewCatalog* views = state->service->views();
-  ViewCatalogStats vs = views->stats();
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("enabled").Value(state->service->options().enable_views);
-  json.Key("epoch").Value(uint64_t{views->current_epoch()});
-  json.Key("lookups").Value(vs.lookups);
-  json.Key("hits").Value(vs.hits);
-  json.Key("misses").Value(vs.misses);
-  json.Key("offers").Value(vs.offers);
-  json.Key("admitted").Value(vs.admitted);
-  json.Key("rejected").Value(vs.rejected);
-  json.Key("stale_offers").Value(vs.stale_offers);
-  json.Key("evictions").Value(vs.evictions);
-  json.Key("invalidations").Value(vs.invalidations);
-  json.Key("carry_forwards").Value(vs.carry_forwards);
-  json.Key("refreshes").Value(vs.refreshes);
-  json.Key("promotions").Value(vs.promotions);
-  json.Key("demotions").Value(vs.demotions);
-  json.Key("bytes").Value(uint64_t{vs.bytes});
-  json.Key("entries").BeginArray();
-  for (const ViewInfo& info : views->Entries()) {
-    json.BeginObject();
-    json.Key("signature").Value(info.signature);
-    json.Key("pinned").Value(info.pinned);
-    json.Key("resident").Value(info.resident);
-    json.Key("epoch").Value(uint64_t{info.epoch});
-    json.Key("rows").Value(uint64_t{info.rows});
-    json.Key("bytes").Value(uint64_t{info.bytes});
-    json.Key("observations").Value(info.observations);
-    json.Key("hits").Value(info.hits);
-    json.Key("union_terms").Value(uint64_t{info.union_terms});
-    json.Key("est_cost").Value(info.est_cost);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  return json.TakeString();
+/// "!<command>": the shared admin layer's reply, framed for the socket.
+std::string AdminResponse(ServerState* state, const std::string& line) {
+  Result<AdminReply> reply = RunAdminCommand(state->service, line);
+  if (!reply.ok()) return ErrorResponse(reply.status());
+  // SendLine adds the newline after the terminator.
+  if (reply.ValueOrDie().multi_line) return reply.ValueOrDie().text + "# EOF";
+  return reply.ValueOrDie().text;
 }
 
 /// One connection: buffered line reads, one JSON line back per request.
@@ -216,26 +141,9 @@ void ServeConnection(ServerState* state, int fd) {
       ::shutdown(state->listen_fd, SHUT_RDWR);
       break;
     }
-    std::string response;
-    if (line == "!stats") {
-      response = StatsResponse(state);
-    } else if (line == "!metrics") {
-      response = MetricsRegistry::Global().ToJson(/*indent=*/0);
-    } else if (line == "!prom") {
-      // Ends with "# EOF\n"; SendLine adds the final newline itself.
-      response = MetricsRegistry::Global().ToPrometheusText();
-      if (!response.empty() && response.back() == '\n') response.pop_back();
-    } else if (line == "!views") {
-      response = ViewsResponse(state);
-    } else if (line == "!slowlog") {
-      for (const std::string& entry : state->service->slow_log()->Lines()) {
-        response += entry;
-        response += '\n';
-      }
-      response += "# EOF";
-    } else {
-      response = QueryResponse(state, line);
-    }
+    const std::string response = line[0] == '!'
+                                     ? AdminResponse(state, line.substr(1))
+                                     : QueryResponse(state, line);
     if (!SendLine(fd, response)) break;
   }
   {
@@ -251,7 +159,9 @@ int Usage() {
   std::fprintf(stderr,
                "usage: rdfopt_server [--port N] [--max-rows N] [--slow-ms X] "
                "[--views on|off] "
-               "<file.nt> | --lubm <universities> | --dblp <publications>\n");
+               "<file.nt> | --lubm <universities> | --dblp <publications>\n"
+               "admin commands (!stats, !views, !slowlog, !metrics, !prom): "
+               "README \"Serving\"\n");
   return 2;
 }
 
@@ -259,53 +169,32 @@ int Usage() {
 
 int main(int argc, char** argv) {
   uint16_t port = 8094;
-  size_t max_rows = 100;
   double slow_ms = -1.0;  // < 0: keep the service default.
   bool enable_views = true;  // The serving deployment wants warm fragments.
   std::vector<std::string> args(argv + 1, argv + argc);
   Graph graph;
-  std::string preamble;
+  ServerState state;
   bool loaded = false;
-  for (size_t i = 0; i < args.size(); ++i) {
+  for (size_t i = 0; i < args.size();) {
     if (args[i] == "--port" && i + 1 < args.size()) {
-      port = static_cast<uint16_t>(std::atoi(args[++i].c_str()));
+      port = static_cast<uint16_t>(std::atoi(args[i + 1].c_str()));
     } else if (args[i] == "--max-rows" && i + 1 < args.size()) {
-      max_rows = static_cast<size_t>(std::atoi(args[++i].c_str()));
+      state.max_rows = static_cast<size_t>(std::atoi(args[i + 1].c_str()));
     } else if (args[i] == "--slow-ms" && i + 1 < args.size()) {
-      slow_ms = std::atof(args[++i].c_str());
+      slow_ms = std::atof(args[i + 1].c_str());
     } else if (args[i] == "--views" && i + 1 < args.size()) {
-      enable_views = (args[++i] != "off");
-    } else if (args[i] == "--lubm" && i + 1 < args.size()) {
-      LubmOptions options;
-      options.num_universities = static_cast<size_t>(
-          std::atoi(args[++i].c_str()));
-      GenerateLubm(options, &graph);
-      preamble = "PREFIX ub: <http://lubm.example.org/univ#>\n";
-      loaded = true;
-    } else if (args[i] == "--dblp" && i + 1 < args.size()) {
-      DblpOptions options;
-      options.num_publications = static_cast<size_t>(
-          std::atoi(args[++i].c_str()));
-      GenerateDblp(options, &graph);
-      preamble = "PREFIX bib: <http://dblp.example.org/bib#>\n";
-      loaded = true;
-    } else if (!args[i].empty() && args[i][0] != '-') {
-      std::ifstream in(args[i]);
-      if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", args[i].c_str());
-        return 2;
-      }
-      std::stringstream data;
-      data << in.rdbuf();
-      Status st = ParseNTriples(data.str(), &graph);
-      if (!st.ok()) {
-        std::fprintf(stderr, "load failed: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      loaded = true;
+      enable_views = (args[i + 1] != "off");
     } else {
-      return Usage();
+      Result<std::string> preamble = LoadDataset(args, &i, &graph);
+      if (!preamble.ok()) {
+        std::fprintf(stderr, "%s\n", preamble.status().ToString().c_str());
+        return Usage();
+      }
+      state.preamble = preamble.TakeValue();
+      loaded = true;
+      continue;
     }
+    i += 2;
   }
   if (!loaded) return Usage();
 
@@ -318,10 +207,7 @@ int main(int argc, char** argv) {
   if (slow_ms >= 0.0) service_options.slow_query_ms = slow_ms;
   service_options.enable_views = enable_views;
   QueryService service(&graph, profile, service_options);
-  ServerState state;
   state.service = &service;
-  state.preamble = preamble;
-  state.max_rows = max_rows;
 
   state.listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (state.listen_fd < 0) {
@@ -368,6 +254,6 @@ int main(int argc, char** argv) {
   for (std::thread& t : workers) t.join();
   ::close(state.listen_fd);
   std::printf("rdfopt_server: shut down (%s)\n",
-              StatsResponse(&state).c_str());
+              AdminResponse(&state, "stats").c_str());
   return 0;
 }

@@ -12,49 +12,35 @@
 //   .strategy ucq|scq|ecov|gcov|saturation
 //   .prune on|off          data-aware disjunct pruning
 //   .minimize on|off       constraint-aware query minimization
-//   .explain on|off|analyze  print the physical plan before the answers;
-//                          `analyze` also shows the actual rows each plan
-//                          node produced during execution
+//   .subsume on|off        drop disjuncts subsumed by others
+//   .explain on|off|analyze  print the physical plan before the answers
+//                          (`analyze`: with each node's actual rows)
 //   .sql on|off            print the SQL deployment of the JUCQ
 //   .trace on|off          print the span tree after each query
-//   .threads N             evaluator worker threads (1 = sequential;
-//                          answers are identical at any setting)
-//   .encoding on|off       hierarchy-aware (LiteMat-style) dictionary
-//                          encoding: class/property ids are DFS-ordered
-//                          over the subsumption DAG and the planner
-//                          collapses reformulation unions into single
-//                          interval range scans (.explain shows the
-//                          ScanRange nodes and "collapsed from N")
-//   .vector [N|off]        switch to the batch execution engine with batch
-//                          size N (default 1024) and union-subplan
-//                          factoring; `off` restores the tuple-at-a-time
-//                          engine. Answers are identical either way;
-//                          .explain shows [vector=N] and shared nodes
-//   .verify on|off         statically verify every physical plan against
-//                          the executor's structural invariants before
-//                          running it (engine/plan_verifier.h); a violation
-//                          fails the query with the offending node marked
-//   .metrics [reset|prom]  dump (or zero) the process metrics registry;
-//                          `prom` prints the Prometheus text exposition
-//   .service [on|off]      route queries through the QueryService front
-//                          door (plan cache + admission control); bare
-//                          `.service` prints its counters
-//   .slowlog [N|ms X|clear]  the service's slow-query log (JSON lines,
-//                          newest N; `ms X` sets the threshold; needs
-//                          .service on)
-//   .views [on|off|stats]  materialized fragment views (DESIGN.md §14):
-//                          on/off arms the flag for the next .service on;
-//                          `stats` (or bare .views) prints the catalog's
-//                          counters and per-view entries
+//   .threads N             evaluator worker threads (1 = sequential)
+//   .encoding on|off       hierarchy-aware (LiteMat-style) ids: unions over
+//                          a class/property subtree become range scans
+//   .vector [N|off]        batch engine with batch size N (default 1024)
+//                          and union-subplan factoring, or tuple-at-a-time
+//   .verify on|off         verify every physical plan before running it
+//                          (engine/plan_verifier.h)
+//   .service on|off        route queries through the QueryService front
+//                          door (plan cache + admission control)
+//   .views on|off          materialized fragment views (DESIGN.md §14):
+//                          arms the flag for the next .service on
 //   .calibrate             fit the cost-model constants on this machine
 //   .stats                 database statistics
 //   .help / .quit
+// Answers are identical under every .threads/.encoding/.vector setting.
+//
+// Every other dot command is an admin command of service/admin.h, the
+// table in README "Serving": `.service` (its `stats`), `.views`,
+// `.slowlog [N|ms X|clear]`, `.metrics [reset]` and `.prom`. They print
+// the same JSON the server's `!` commands return.
 
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -65,21 +51,19 @@
 #include "cost/calibration.h"
 #include "engine/explain.h"
 #include "optimizer/answering.h"
-#include "rdf/ntriples.h"
 #include "reasoner/saturation.h"
+#include "service/admin.h"
 #include "service/query_service.h"
 #include "sparql/parser.h"
 #include "sparql/printer.h"
 #include "sparql/sql.h"
-#include "workload/dblp.h"
-#include "workload/lubm.h"
 
 namespace {
 
 using namespace rdfopt;
 
-void PrintAnswers(const Relation& answers, const Query& query,
-                  const Dictionary& dict, size_t limit = 20) {
+void PrintAnswers(const Relation& answers, const Dictionary& dict,
+                  size_t limit = 20) {
   for (size_t i = 0; i < answers.num_rows() && i < limit; ++i) {
     std::printf("  ");
     for (size_t c = 0; c < answers.arity(); ++c) {
@@ -92,7 +76,6 @@ void PrintAnswers(const Relation& answers, const Query& query,
   if (answers.num_rows() > limit) {
     std::printf("  ... (%zu rows total)\n", answers.num_rows());
   }
-  (void)query;
 }
 
 int Usage() {
@@ -106,39 +89,17 @@ int Usage() {
 
 int main(int argc, char** argv) {
   Graph graph;
-  std::string preamble;  // PREFIX declarations prepended to every query.
-  if (argc < 2) return Usage();
-  if (std::strcmp(argv[1], "--lubm") == 0) {
-    LubmOptions options;
-    options.num_universities =
-        argc > 2 ? static_cast<size_t>(std::atoi(argv[2])) : 1;
-    GenerateLubm(options, &graph);
-    preamble = "PREFIX ub: <http://lubm.example.org/univ#>\n";
-    std::printf("Generated LUBM-style data "
-                "(prefix ub: predeclared).\n");
-  } else if (std::strcmp(argv[1], "--dblp") == 0) {
-    DblpOptions options;
-    if (argc > 2) {
-      options.num_publications = static_cast<size_t>(std::atoi(argv[2]));
-    }
-    GenerateDblp(options, &graph);
-    preamble = "PREFIX bib: <http://dblp.example.org/bib#>\n";
-    std::printf("Generated DBLP-style data "
-                "(prefix bib: predeclared).\n");
-  } else {
-    std::ifstream in(argv[1]);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", argv[1]);
-      return 2;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    Status st = ParseNTriples(buffer.str(), &graph);
-    if (!st.ok()) {
-      std::fprintf(stderr, "load failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  size_t next = 0;
+  Result<std::string> loaded = LoadDataset(args, &next, &graph);
+  if (!loaded.ok() || next != args.size()) {
+    std::fprintf(stderr, "%s\n", loaded.ok() ? "unexpected arguments"
+                                 : loaded.status().ToString().c_str());
+    return Usage();
   }
+  // PREFIX declarations prepended to every query that declares none.
+  const std::string preamble = loaded.TakeValue();
+  if (!preamble.empty()) std::printf("Predeclared: %s", preamble.c_str());
   graph.FinalizeSchema();
 
   TripleStore store = TripleStore::Build(graph.data_triples());
@@ -159,7 +120,13 @@ int main(int argc, char** argv) {
   bool enable_views = false;
   std::unique_ptr<QueryService> service;
   TraceSession trace_session;
-  CardinalityEstimator estimator(&store, &stats);
+  // Engine and answering switches reach the service only when it is rebuilt.
+  const auto note_service = [&](const char* what) {
+    if (service != nullptr) {
+      std::printf("note: run .service on again to apply the %s switch to "
+                  "the service front door\n", what);
+    }
+  };
   std::string pending;
   std::string line;
   while (std::printf("rdfopt> "), std::fflush(stdout),
@@ -174,17 +141,11 @@ int main(int argc, char** argv) {
                     "| .subsume on|off | .minimize on|off "
                     "| .explain on|off|analyze | .sql on|off | .trace on|off "
                     "| .threads N | .encoding on|off | .vector [N|off] "
-                    "| .verify on|off | .metrics [reset|prom] "
-                    "| .service [on|off] | .slowlog [N|ms X|clear] "
-                    "| .views [on|off|stats] | .calibrate | .stats | .quit\n"
-                    ".explain analyze prints the executed plan with "
-                    "estimated AND actual rows per node\n"
-                    ".service on routes queries through the caching front "
-                    "door; bare .service prints its counters\n"
-                    ".slowlog prints the service's slow-query log as JSON "
-                    "lines (.slowlog ms 50 sets the threshold)\n"
-                    ".views on arms materialized fragment views for the next "
-                    ".service on; .views stats prints the catalog\n");
+                    "| .verify on|off | .service on|off | .views on|off "
+                    "| .calibrate | .stats | .quit\n"
+                    "admin commands, printed as JSON (README \"Serving\"): "
+                    ".service (its stats) | .views | .slowlog [N|ms X|clear] "
+                    "| .metrics [reset] | .prom\n");
       } else if (op == ".strategy") {
         if (arg == "ucq") options.strategy = Strategy::kUcq;
         else if (arg == "scq") options.strategy = Strategy::kScq;
@@ -194,15 +155,12 @@ int main(int argc, char** argv) {
         else { std::printf("unknown strategy '%s'\n", arg.c_str()); continue; }
         std::printf("strategy = %s\n",
                     std::string(StrategyName(options.strategy)).c_str());
-      } else if (op == ".prune") {
-        options.prune_empty_disjuncts = (arg == "on");
-        std::printf("prune = %s\n", arg == "on" ? "on" : "off");
-      } else if (op == ".minimize") {
-        options.minimize_query = (arg == "on");
-        std::printf("minimize = %s\n", arg == "on" ? "on" : "off");
-      } else if (op == ".subsume") {
-        options.prune_subsumed_disjuncts = (arg == "on");
-        std::printf("subsume = %s\n", arg == "on" ? "on" : "off");
+      } else if (op == ".prune" || op == ".minimize" || op == ".subsume") {
+        bool& flag = op == ".prune"      ? options.prune_empty_disjuncts
+                     : op == ".minimize" ? options.minimize_query
+                                         : options.prune_subsumed_disjuncts;
+        flag = (arg == "on");
+        std::printf("%s = %s\n", op.c_str() + 1, flag ? "on" : "off");
       } else if (op == ".explain") {
         explain = (arg == "on" || arg == "analyze");
         explain_analyze = (arg == "analyze");
@@ -245,45 +203,32 @@ int main(int argc, char** argv) {
           std::printf(".encoding on|off\n");
           continue;
         }
-        if (service != nullptr) {
-          std::printf("note: run .service on again to apply the encoding "
-                      "switch to the service front door\n");
-        }
+        note_service("encoding");
       } else if (op == ".vector") {
         // The answerer holds a pointer to `profile`, so assigning through
         // it switches the engine for every later query. Worker threads are
         // orthogonal and survive the switch.
-        size_t threads = profile.worker_threads;
-        if (arg == "off" || arg == "1") {
-          profile = PostgresLikeProfile();
-          profile.worker_threads = threads;
+        const long n = arg == "off"   ? 1
+                       : arg.empty() ? static_cast<long>(kBatchRows)
+                                     : std::atol(arg.c_str());
+        if (n < 1) {
+          std::printf(".vector [N|off] — batch size N >= 2, or 1/off for "
+                      "the tuple engine (default %zu)\n", kBatchRows);
+          continue;
+        }
+        const size_t threads = profile.worker_threads;
+        // Vectorized clamps N to the executor's physical batch width.
+        profile = n == 1 ? PostgresLikeProfile()
+                         : Vectorized(PostgresLikeProfile(),
+                                      static_cast<size_t>(n));
+        profile.worker_threads = threads;
+        if (n == 1) {
           std::printf("vector = off (tuple-at-a-time engine)\n");
         } else {
-          long n = arg.empty() ? static_cast<long>(kBatchRows)
-                               : std::atol(arg.c_str());
-          if (n < 2) {
-            std::printf(".vector [N|off] — batch size N >= 2 "
-                        "(default %zu)\n", kBatchRows);
-            continue;
-          }
-          if (n > static_cast<long>(kBatchRows)) {
-            // The executor's batch buffers and selection vectors are
-            // physically kBatchRows wide; a wider width would only misprice
-            // the cost model (and fail plan verification).
-            std::printf("note: batch size clamped to %zu (the executor's "
-                        "physical batch width)\n", kBatchRows);
-            n = static_cast<long>(kBatchRows);
-          }
-          profile = Vectorized(PostgresLikeProfile(),
-                               static_cast<size_t>(n));
-          profile.worker_threads = threads;
-          std::printf("vector = %ld (batch engine, union-subplan "
-                      "factoring on)\n", n);
+          std::printf("vector = %zu (batch engine, union-subplan "
+                      "factoring on)\n", profile.vector_width);
         }
-        if (service != nullptr) {
-          std::printf("note: run .service on again to apply the engine "
-                      "switch to the service front door\n");
-        }
+        note_service("engine");
       } else if (op == ".verify") {
         if (arg == "on" || arg == "off") {
           options.verify_plans = (arg == "on");
@@ -293,135 +238,31 @@ int main(int argc, char** argv) {
                             "execution; violations abort the query with the "
                             "offending node marked)"
                           : "");
-          if (service != nullptr) {
-            std::printf("note: run .service on again to apply the verify "
-                        "switch to the service front door\n");
-          }
+          note_service("verify");
         } else {
           std::printf(".verify on|off — static plan verification before "
                       "execution (currently %s)\n",
                       options.verify_plans ? "on" : "off");
         }
-      } else if (op == ".metrics") {
-        if (arg == "reset") {
-          MetricsRegistry::Global().Reset();
-          std::printf("metrics registry reset\n");
-        } else if (arg == "prom") {
-          std::printf("%s",
-                      MetricsRegistry::Global().ToPrometheusText().c_str());
-        } else {
-          std::printf("%s\n",
-                      MetricsRegistry::Global().ToJson(/*indent=*/2).c_str());
+      } else if (op == ".views" && (arg == "on" || arg == "off")) {
+        enable_views = (arg == "on");
+        std::printf("views = %s\n", enable_views ? "on" : "off");
+        if (service && service->options().enable_views != enable_views) {
+          note_service("views");
         }
-      } else if (op == ".slowlog") {
-        if (!service) {
-          std::printf("slow-query log needs the service: .service on\n");
-        } else if (arg == "clear") {
-          service->slow_log()->Clear();
-          std::printf("slow-query log cleared\n");
-        } else if (arg == "ms") {
-          std::string value;
-          cmd >> value;
-          double ms = std::atof(value.c_str());
-          service->slow_log()->set_threshold_ms(ms);
-          std::printf("slow-query threshold = %.1f ms\n", ms);
-        } else {
-          size_t max = arg.empty()
-                           ? 0
-                           : static_cast<size_t>(std::atoi(arg.c_str()));
-          std::vector<std::string> entries = service->slow_log()->Lines(max);
-          for (const std::string& entry : entries) {
-            std::printf("%s\n", entry.c_str());
-          }
-          std::printf("(%zu record(s), threshold %.1f ms)\n", entries.size(),
-                      service->slow_log()->threshold_ms());
-        }
-      } else if (op == ".views") {
-        if (arg == "on" || arg == "off") {
-          enable_views = (arg == "on");
-          std::printf("views = %s\n", enable_views ? "on" : "off");
-          if (service != nullptr &&
-              service->options().enable_views != enable_views) {
-            std::printf("note: run .service on again to apply the views "
-                        "switch to the service front door\n");
-          }
-        } else if (arg.empty() || arg == "stats") {
-          if (!service) {
-            std::printf("views = %s (armed for .service on; the catalog "
-                        "lives in the service front door)\n",
-                        enable_views ? "on" : "off");
-            continue;
-          }
-          ViewCatalogStats vs = service->views()->stats();
-          std::printf(
-              "views = %s: lookups=%llu hits=%llu misses=%llu offers=%llu "
-              "admitted=%llu rejected=%llu stale_offers=%llu evictions=%llu "
-              "invalidations=%llu carry_forwards=%llu refreshes=%llu "
-              "promotions=%llu demotions=%llu bytes=%zu entries=%zu "
-              "resident=%zu pinned=%zu\n",
-              service->options().enable_views ? "on" : "off",
-              static_cast<unsigned long long>(vs.lookups),
-              static_cast<unsigned long long>(vs.hits),
-              static_cast<unsigned long long>(vs.misses),
-              static_cast<unsigned long long>(vs.offers),
-              static_cast<unsigned long long>(vs.admitted),
-              static_cast<unsigned long long>(vs.rejected),
-              static_cast<unsigned long long>(vs.stale_offers),
-              static_cast<unsigned long long>(vs.evictions),
-              static_cast<unsigned long long>(vs.invalidations),
-              static_cast<unsigned long long>(vs.carry_forwards),
-              static_cast<unsigned long long>(vs.refreshes),
-              static_cast<unsigned long long>(vs.promotions),
-              static_cast<unsigned long long>(vs.demotions), vs.bytes,
-              vs.entries, vs.resident, vs.pinned);
-          for (const ViewInfo& info : service->views()->Entries()) {
-            std::printf("  %s%s %s epoch=%llu rows=%zu bytes=%zu obs=%llu "
-                        "hits=%llu terms=%zu cost=%.0f\n",
-                        info.pinned ? "[pinned] " : "",
-                        info.resident ? "[resident]" : "[ledger-only]",
-                        info.signature.c_str(),
-                        static_cast<unsigned long long>(info.epoch),
-                        info.rows, info.bytes,
-                        static_cast<unsigned long long>(info.observations),
-                        static_cast<unsigned long long>(info.hits),
-                        info.union_terms, info.est_cost);
-          }
-        } else {
-          std::printf(".views [on|off|stats]\n");
-        }
-      } else if (op == ".service") {
-        if (arg == "on") {
-          ServiceOptions service_options;
-          service_options.answer = options;
-          service_options.enable_views = enable_views;
-          service = std::make_unique<QueryService>(&graph, profile,
-                                                   service_options);
-          std::printf("service = on — plans cached per (canonical query, "
-                      "epoch); strategy/threads are captured now, rerun "
-                      ".service on after changing them (.explain/.sql are "
-                      "bypassed while on)\n");
-        } else if (arg == "off") {
-          service.reset();
-          std::printf("service = off\n");
-        } else if (service) {
-          QueryService::Stats s = service->stats();
-          std::printf(
-              "service = on: epoch=%llu cache{hits=%llu misses=%llu "
-              "evictions=%llu entries=%llu bytes=%llu} admission{admitted="
-              "%llu shed=%llu deadline_exceeded=%llu}\n",
-              static_cast<unsigned long long>(s.epoch),
-              static_cast<unsigned long long>(s.cache.hits),
-              static_cast<unsigned long long>(s.cache.misses),
-              static_cast<unsigned long long>(s.cache.evictions),
-              static_cast<unsigned long long>(s.cache.entries),
-              static_cast<unsigned long long>(s.cache.bytes),
-              static_cast<unsigned long long>(s.admission.admitted),
-              static_cast<unsigned long long>(s.admission.shed),
-              static_cast<unsigned long long>(s.admission.deadline_exceeded));
-        } else {
-          std::printf("service = off (.service on routes queries through "
-                      "the caching front door)\n");
-        }
+      } else if (op == ".service" && arg == "on") {
+        ServiceOptions service_options;
+        service_options.answer = options;
+        service_options.enable_views = enable_views;
+        service = std::make_unique<QueryService>(&graph, profile,
+                                                 service_options);
+        std::printf("service = on — plans cached per (canonical query, "
+                    "epoch); strategy/threads are captured now, rerun "
+                    ".service on after changing them (.explain/.sql are "
+                    "bypassed while on)\n");
+      } else if (op == ".service" && arg == "off") {
+        service.reset();
+        std::printf("service = off\n");
       } else if (op == ".calibrate") {
         std::printf("running calibration sweeps on %s...\n",
                     profile.name.c_str());
@@ -440,7 +281,18 @@ int main(int argc, char** argv) {
                     graph.schema().AllClasses().size(),
                     graph.schema().AllProperties().size(), sat.store.size());
       } else {
-        std::printf("unknown command %s (.help)\n", op.c_str());
+        // The admin layer owns every other command; bare .service names
+        // its `stats` (.stats is the database's).
+        Result<AdminReply> reply = RunAdminCommand(
+            service.get(),
+            op == ".service" && arg.empty() ? "stats" : line.substr(1));
+        if (!reply.ok()) {
+          std::printf("error: %s (.help)\n",
+                      reply.status().ToString().c_str());
+        } else {
+          std::printf("%s%s", reply.ValueOrDie().text.c_str(),
+                      reply.ValueOrDie().multi_line ? "" : "\n");
+        }
       }
       continue;
     }
@@ -461,39 +313,25 @@ int main(int argc, char** argv) {
     pending.clear();
     if (text.find_first_not_of(" \t\n;") == std::string::npos) continue;
 
-    // Queries may declare their own prefixes; the preamble only helps when
-    // the text does not start with PREFIX.
-    if (text.find("PREFIX") == std::string::npos &&
-        text.find("prefix") == std::string::npos) {
-      text = preamble + text;
-    }
+    text = WithPreamble(preamble, text);
     if (trace) trace_session.Clear();  // One span tree per query.
-    if (service) {
-      // The front door parses, canonicalizes, caches and admits; the shell
-      // only formats what comes back.
-      Result<ServiceOutcome> served = service->AnswerText(text);
+    const auto print_trace = [&] {
       if (trace) {
         std::printf("-- trace:\n%s",
                     trace_session.ToString(/*max_lines=*/200).c_str());
       }
+    };
+    if (service) {
+      // The front door parses, canonicalizes, caches and admits; the shell
+      // only formats what comes back.
+      Result<ServiceOutcome> served = service->AnswerText(text);
+      print_trace();
       if (!served.ok()) {
         std::printf("error: %s\n", served.status().ToString().c_str());
         continue;
       }
       const ServiceOutcome& so = served.ValueOrDie();
-      const size_t limit = 20;
-      for (size_t i = 0; i < so.answers.num_rows() && i < limit; ++i) {
-        std::printf("  ");
-        for (size_t c = 0; c < so.answers.arity(); ++c) {
-          std::printf("%s%s", c > 0 ? "  " : "",
-                      graph.dict().term(so.answers.at(i, c)).Encoded().c_str());
-        }
-        if (so.answers.arity() == 0) std::printf("true");
-        std::printf("\n");
-      }
-      if (so.answers.num_rows() > limit) {
-        std::printf("  ... (%zu rows total)\n", so.answers.num_rows());
-      }
+      PrintAnswers(so.answers, graph.dict());
       std::printf("%zu answer(s) in %.2f ms [service: cache %s, epoch %llu, "
                   "%zu union terms, %zu component(s)]\n",
                   so.answers.num_rows(), so.total_ms,
@@ -512,10 +350,7 @@ int main(int argc, char** argv) {
     }
     Result<AnswerOutcome> outcome = answerer.Answer(query.ValueOrDie(),
                                                     options);
-    if (trace) {
-      std::printf("-- trace:\n%s",
-                  trace_session.ToString(/*max_lines=*/200).c_str());
-    }
+    print_trace();
     if (!outcome.ok()) {
       std::printf("error: %s\n", outcome.status().ToString().c_str());
       continue;
@@ -523,19 +358,14 @@ int main(int argc, char** argv) {
     const AnswerOutcome& o = outcome.ValueOrDie();
     if (o.jucq.has_value()) {
       if (explain) {
-        if (o.plan.has_value()) {
-          // The exact plan that was executed: under `analyze` its nodes
-          // carry the actual row counts the run just recorded.
-          ExplainOptions explain_opts;
-          explain_opts.analyze = explain_analyze;
-          std::printf("%s", ExplainPlan(*o.plan, *o.jucq_vars, graph.dict(),
-                                        explain_opts)
-                                .c_str());
-        } else {
-          std::printf("%s", ExplainJucqPlan(*o.jucq, *o.jucq_vars,
-                                            graph.dict(), estimator, profile)
-                                .c_str());
-        }
+        // The exact plan that was executed (keep_reformulation keeps it
+        // with the JUCQ): under `analyze` its nodes carry the actual row
+        // counts the run just recorded.
+        ExplainOptions explain_opts;
+        explain_opts.analyze = explain_analyze;
+        std::printf("%s", ExplainPlan(o.plan.value(), *o.jucq_vars,
+                                      graph.dict(), explain_opts)
+                              .c_str());
       }
       if (emit_sql) {
         std::printf("-- SQL deployment over Triples(s,p,o)/Dict(id,value):\n"
@@ -543,7 +373,7 @@ int main(int argc, char** argv) {
                     ToSql(*o.jucq, *o.jucq_vars, SqlOptions{}).c_str());
       }
     }
-    PrintAnswers(o.answers, query.ValueOrDie(), graph.dict());
+    PrintAnswers(o.answers, graph.dict());
     std::printf("%zu answer(s) in %.2f ms [%s: %zu union terms, "
                 "%zu component(s)%s%s]\n",
                 o.answers.num_rows(), o.total_ms(),

@@ -152,9 +152,6 @@ class MetricWindowedHistogram {
 
   /// Global slice number of the current instant.
   int64_t NowSliceIndex() const;
-  double QuantileLocked(const std::array<uint64_t, kMetricNumBuckets>& buckets,
-                        uint64_t count, double q, double lo_clamp,
-                        double hi_clamp) const;
 
   const double window_seconds_;
   const double slice_seconds_;
@@ -196,8 +193,8 @@ class MetricsRegistry {
   /// quantile-labelled lines plus _sum/_count, windowed histograms as
   /// gauges labelled {quantile,window}. Names are mangled
   /// `engine.evaluate_ms` -> `rdfopt_engine_evaluate_ms`. Ends with the
-  /// OpenMetrics `# EOF` terminator, which also serves as the end-of-scrape
-  /// marker on rdfopt_server's line protocol (`!prom`).
+  /// OpenMetrics `# EOF` terminator (the `prom` admin command of
+  /// service/admin.h leaves that line to the transport).
   std::string ToPrometheusText() const;
 
   /// Zeroes every registered instrument (instruments stay registered, so

@@ -99,7 +99,6 @@ EngineProfile Vectorized(const EngineProfile& base, size_t width) {
   if (width > kBatchRows) width = kBatchRows;
   p.name = base.name + "+vectorized";
   p.vector_width = width;
-  p.share_union_subplans = true;
   const double w = static_cast<double>(width);
   // Per-row emulated overheads model tuple-at-a-time interpretation; a
   // vectorized engine pays them once per batch.

@@ -75,14 +75,11 @@ struct EngineProfile {
   /// per-term emulated charge (and the planner the matching cost constants)
   /// by this width. 1 — the default, and what the four canonical paper
   /// profiles use — reproduces the paper's tuple-at-a-time engines exactly.
+  /// Widths above 1 also turn on the planner's union-subplan factoring
+  /// (DESIGN.md §11): atom scans shared by several branches of a union
+  /// become execute-once shared nodes. The paper's engines re-evaluate
+  /// each branch in isolation, so width 1 never factors.
   size_t vector_width = 1;
-
-  /// Enables the planner's union-subplan factoring pass: atom scans shared
-  /// by several branches of a union become execute-once shared nodes
-  /// (kSharedRef). Off for the canonical paper profiles — sharing changes
-  /// per-plan costs, and the paper's engines re-evaluate each branch in
-  /// isolation — and on for vectorized profiles.
-  bool share_union_subplans = false;
 
   /// Enables the planner's hierarchy-range collapse (DESIGN.md §12): when
   /// the store carries a HierarchyEncoding, a reformulated N-branch union of
@@ -97,7 +94,8 @@ struct EngineProfile {
 };
 
 /// A vectorized variant of `base`: batch-at-a-time execution with the given
-/// vector width (default kBatchRows = 1024) and union-subplan factoring on.
+/// vector width (default kBatchRows = 1024), so union-subplan factoring is
+/// on from width 2.
 /// Per-row/per-term cost constants and emulated overheads are amortized over
 /// the batch, modelling the interpretation overhead vectorization removes;
 /// resource limits and timeout are inherited unchanged.

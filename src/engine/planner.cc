@@ -575,10 +575,11 @@ std::unique_ptr<PlanNode> Planner::BuildComponent(
   // disjunct chains becomes an execute-once shared subplan; each chain
   // rebuilds with a kSharedRef leaf in its place. Operator choices are
   // estimate-driven and identical across the rebuild, so only scan leaves
-  // change. Off for over-limit unions (they never execute) and for profiles
-  // that model engines re-evaluating every branch in isolation.
+  // change. Off for over-limit unions (they never execute) and for
+  // tuple-at-a-time profiles, which model engines re-evaluating every
+  // branch in isolation.
   double shared_cost = 0.0;
-  if (profile_->share_union_subplans && !u->over_limit &&
+  if (profile_->vector_width > 1 && !u->over_limit &&
       shared_out != nullptr && planned > 1) {
     std::map<SharedAtomKey, std::pair<size_t, const PlanNode*>> counts;
     std::vector<const PlanNode*> leaves;

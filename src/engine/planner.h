@@ -109,7 +109,7 @@ class Planner {
       const ConjunctiveQuery& cq,
       const SharedScanMap* shared_scans = nullptr) const;
   /// Dedup(UnionAll(disjunct chains)) — one JUCQ component (or a whole UCQ).
-  /// With profile().share_union_subplans, atom scans appearing in two or
+  /// With profile().vector_width > 1, atom scans appearing in two or
   /// more disjunct chains are factored into execute-once subplans appended
   /// to `shared_out` (the plan's shared_subplans vector); null disables.
   /// With profile().hierarchy_ranges and a store-attached HierarchyEncoding,

@@ -90,13 +90,6 @@ class Relation {
   /// copy; selective batches gather the selected rows.
   void AppendBatch(const Batch& batch);
 
-  /// The rows [begin, begin + rows) of this relation as a dense batch view.
-  /// The view is invalidated by any append.
-  Batch Chunk(size_t begin, size_t rows) const {
-    return Batch{cells_.data() + begin * columns_.size(), columns_.size(),
-                 rows, nullptr, 0};
-  }
-
   /// Deep copy (relations are move-only; copies must be explicit — the
   /// shared-subplan executor copies only when a branch needs ownership).
   Relation Copy() const;

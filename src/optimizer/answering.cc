@@ -77,7 +77,7 @@ CachingCoverCostOracle::CachingCoverCostOracle(
       // cost is +inf and assembling them fails with kQueryTooComplex, which
       // is also what the engine itself would report).
       effective_disjunct_cap_(
-          std::min(options.max_reformulation_disjuncts,
+          std::min(kMaxReformulationDisjuncts,
                    evaluator->profile().max_union_terms)) {}
 
 const CachingCoverCostOracle::FragmentEntry&
@@ -216,7 +216,7 @@ Result<JoinOfUnions> CachingCoverCostOracle::AssembleJucq(const Cover& cover,
       component.disjuncts.push_back(std::move(disjunct));
     }
     if (options_.prune_subsumed_disjuncts &&
-        component.disjuncts.size() <= options_.subsumption_pruning_limit) {
+        component.disjuncts.size() <= kSubsumptionPruningLimit) {
       size_t dropped = PruneSubsumedDisjuncts(&component);
       if (pruned != nullptr) *pruned += dropped;
     }

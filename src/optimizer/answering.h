@@ -28,14 +28,17 @@ enum class Strategy {
 
 std::string_view StrategyName(Strategy strategy);
 
+/// Hard cap on disjuncts materialized per fragment; fragments estimated
+/// above min(cap, engine plan limit) are treated as infeasible without
+/// being materialized.
+inline constexpr size_t kMaxReformulationDisjuncts = 2'000'000;
+/// Largest component AnswerOptions::prune_subsumed_disjuncts prunes.
+inline constexpr size_t kSubsumptionPruningLimit = 4096;
+
 struct AnswerOptions {
   Strategy strategy = Strategy::kGcov;
   /// Budget for ECov/GCov search (the paper's anytime stop condition).
   double optimizer_time_budget_s = 30.0;
-  /// Hard cap on disjuncts materialized per fragment; fragments estimated
-  /// above min(cap, engine plan limit) are treated as infeasible without
-  /// being materialized.
-  size_t max_reformulation_disjuncts = 2'000'000;
   /// Fig 9 alternative: rank covers with the engine's internal EXPLAIN
   /// estimate instead of the §4.1 model.
   bool use_engine_cost_model = false;
@@ -62,9 +65,8 @@ struct AnswerOptions {
   /// Drop disjuncts subsumed by other disjuncts of the same component
   /// (classic CQ-containment pruning; data-independent, unlike
   /// prune_empty_disjuncts). Quadratic, so applied only to components of at
-  /// most `subsumption_pruning_limit` disjuncts.
+  /// most kSubsumptionPruningLimit disjuncts.
   bool prune_subsumed_disjuncts = false;
-  size_t subsumption_pruning_limit = 4096;
   /// Run the static plan verifier (engine/plan_verifier.h) on every built
   /// plan before executing it, in all build types; verification failures
   /// surface as kInternal instead of executing a corrupt plan. Debug builds

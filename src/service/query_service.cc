@@ -77,14 +77,12 @@ QueryService::QueryService(Graph* graph, const EngineProfile& profile,
     : graph_(graph),
       profile_(profile),
       options_(std::move(options)),
-      cache_(options_.cache_bytes),
+      cache_(kPlanCacheBytes),
       admission_(options_.max_concurrent, options_.max_queue),
-      slow_log_(SlowQueryLog::Options{options_.slow_query_ms,
-                                      options_.slow_log_capacity,
-                                      options_.slow_log_sample}),
+      slow_log_(SlowQueryLog::Options{.threshold_ms = options_.slow_query_ms}),
       views_(ViewCatalogOptions{options_.view_bytes,
                                 ViewCatalogOptions{}.max_ledger_entries}),
-      view_advisor_(ViewAdvisorOptions{options_.view_pin_limit,
+      view_advisor_(ViewAdvisorOptions{ViewAdvisorOptions{}.pin_limit,
                                        options_.view_min_observations}) {
   std::lock_guard<std::mutex> lock(graph_mu_);
   InstallSnapshot(BuildSnapshotLocked(epoch_.Current()));
@@ -268,7 +266,6 @@ Result<ServiceOutcome> QueryService::Answer(const Query& query,
   // qualify, successful ones when total_ms crosses the threshold.
   const auto record_failure = [&](const Status& status, double queue_wait_ms,
                                   Epoch epoch) {
-    if (!options_.enable_slow_log) return;
     SlowQueryLog::Record rec;
     rec.canonical_query = canonical.key;
     rec.status = status;
@@ -335,8 +332,7 @@ Result<ServiceOutcome> QueryService::Answer(const Query& query,
   span.Attr("cache_hit", outcome.cache_hit);
   span.Attr("epoch", static_cast<uint64_t>(outcome.epoch));
   span.Attr("rows", static_cast<uint64_t>(outcome.answers.num_rows()));
-  if (options_.enable_slow_log &&
-      outcome.total_ms >= slow_log_.threshold_ms()) {
+  if (outcome.total_ms >= slow_log_.threshold_ms()) {
     SlowQueryLog::Record rec;
     rec.canonical_query = canonical.key;
     rec.plan_digest = outcome.plan_digest;
@@ -435,7 +431,7 @@ Result<ServiceOutcome> QueryService::AnswerOnSnapshot(
   if (use_views) answerer.EnableViews(&view_resolver);
   AnswerOptions answer_options = options_.answer;
   // The slow-query log wants per-node timings even when caching is off.
-  answer_options.keep_plan = use_cache || options_.enable_slow_log;
+  answer_options.keep_plan = true;
   RDFOPT_ASSIGN_OR_RETURN(AnswerOutcome answered,
                           answerer.Answer(canonical.query, answer_options));
 

@@ -24,13 +24,14 @@
 
 namespace rdfopt {
 
+/// Byte budget of the reformulation/plan cache.
+inline constexpr size_t kPlanCacheBytes = 64ull << 20;
+
 /// Configuration of a QueryService instance.
 struct ServiceOptions {
   /// Answering strategy and knobs used on cache misses (see answering.h).
   AnswerOptions answer;
-  /// Byte budget of the reformulation/plan cache; 0 effectively disables
-  /// caching by capacity (prefer `enable_cache = false` for intent).
-  size_t cache_bytes = 64ull << 20;
+  /// The reformulation/plan cache (kPlanCacheBytes budget).
   bool enable_cache = true;
   /// Run slots: queries evaluating at once. Waiters queue FIFO behind them.
   size_t max_concurrent = 4;
@@ -45,13 +46,9 @@ struct ServiceOptions {
   /// Scoped to the snapshot — an epoch bump starts clean, since stale
   /// observations must not steer planning against new data.
   bool enable_feedback = true;
-  /// Slow-query log (service/slow_log.h): requests slower than
-  /// `slow_query_ms` (or failed) are recorded as JSON lines, keeping the
-  /// newest `slow_log_capacity`, sampled 1-in-`slow_log_sample`.
-  bool enable_slow_log = true;
+  /// Slow-query log (service/slow_log.h, always on, default capacity and
+  /// sampling): requests slower than this (or failed) are recorded.
   double slow_query_ms = 100.0;
-  size_t slow_log_capacity = 128;
-  size_t slow_log_sample = 1;
   /// Materialized fragment views (DESIGN.md §14, views/view_catalog.h):
   /// component results are cached by ViewSignature and substituted into
   /// later plans, with a log-mining advisor pinning the hottest fragments.
@@ -63,9 +60,8 @@ struct ServiceOptions {
   /// Run an advisor scoring pass every this many queries; 0 disables the
   /// advisor (views stay purely opportunistic/LRU).
   size_t view_advisor_interval = 64;
-  /// Advisor knobs: most views pinned at once, and how often a fragment
-  /// must have been planned before pinning (see view_advisor.h).
-  size_t view_pin_limit = 8;
+  /// How often a fragment must have been planned before the advisor pins
+  /// it (see view_advisor.h; the pin limit is ViewAdvisorOptions's).
   uint64_t view_min_observations = 3;
 };
 
@@ -183,9 +179,8 @@ class QueryService {
   const EngineProfile& profile() const { return profile_; }
   const ServiceOptions& options() const { return options_; }
 
-  /// The slow-query log (always present; empty when enable_slow_log is
-  /// false). Shell `.slowlog` and the server's `!slowlog` read it;
-  /// `set_threshold_ms` adjusts the cutoff at runtime.
+  /// The slow-query log, read by the admin layer's `slowlog` command
+  /// (service/admin.h); `set_threshold_ms` adjusts the cutoff at runtime.
   SlowQueryLog* slow_log() { return &slow_log_; }
   const SlowQueryLog* slow_log() const { return &slow_log_; }
 
@@ -193,8 +188,8 @@ class QueryService {
   size_t feedback_entries() const { return CurrentSnapshot()->feedback.size(); }
 
   /// The materialized-view catalog (always present; only consulted by the
-  /// answering paths when enable_views is set). Shell `.views` and the
-  /// server's `!views` read it; tests drive it directly.
+  /// answering paths when enable_views is set). The admin layer's `views`
+  /// command reads it; tests drive it directly.
   ViewCatalog* views() { return &views_; }
   const ViewCatalog* views() const { return &views_; }
 

@@ -36,7 +36,7 @@ struct PlanNodeStats {
 /// is one self-contained JSON object — canonical query, outcome status,
 /// plan digest, cache hit/miss, snapshot epoch, queue wait, phase times,
 /// resource totals, and per-node timings — so `grep | jq` works on the
-/// shell's `.slowlog` / the server's `!slowlog` output directly.
+/// `slowlog` admin command's output (service/admin.h) directly.
 ///
 /// Sampling: with `sample_every = N`, every Nth qualifying request is
 /// rendered and kept; the rest only bump the `service.slow_queries`
@@ -53,7 +53,6 @@ class SlowQueryLog {
     size_t sample_every = 1;      ///< Keep every Nth qualifying record.
   };
 
-  SlowQueryLog() : SlowQueryLog(Options{}) {}
   explicit SlowQueryLog(Options options);
 
   /// Everything one log line is rendered from.
@@ -89,7 +88,7 @@ class SlowQueryLog {
   double threshold_ms() const {
     return threshold_ms_.load(std::memory_order_relaxed);
   }
-  /// Runtime-adjustable (the shell's `.slowlog <ms>`).
+  /// Runtime-adjustable (the admin command `slowlog ms X`).
   void set_threshold_ms(double ms) {
     threshold_ms_.store(ms, std::memory_order_relaxed);
   }

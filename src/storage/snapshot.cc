@@ -1,6 +1,10 @@
 #include "storage/snapshot.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 
 namespace rdfopt {
@@ -25,6 +29,12 @@ bool ReadU64(std::istream& in, uint64_t* v) {
   return in.good();
 }
 
+/// Bytes after the read position: the ceiling on any count the file claims.
+uint64_t BytesLeft(std::istream& in, uint64_t file_size) {
+  const std::streamoff pos = in.tellg();
+  return pos < 0 ? 0 : file_size - static_cast<uint64_t>(pos);
+}
+
 void WriteTriples(std::ostream& out, const std::vector<Triple>& triples) {
   WriteU64(out, triples.size());
   for (const Triple& t : triples) {
@@ -34,12 +44,16 @@ void WriteTriples(std::ostream& out, const std::vector<Triple>& triples) {
   }
 }
 
-Status ReadTriples(std::istream& in, size_t num_terms, const char* what,
-                   std::vector<Triple>* out) {
+Status ReadTriples(std::istream& in, uint64_t file_size, size_t num_terms,
+                   const char* what, std::vector<Triple>* out) {
   uint64_t count = 0;
   if (!ReadU64(in, &count)) {
     return Status::ParseError(std::string("snapshot truncated before ") +
                               what + " count");
+  }
+  if (count > BytesLeft(in, file_size) / (3 * sizeof(uint32_t))) {
+    return Status::ParseError(std::string("snapshot ") + what +
+                              " count exceeds the file");
   }
   out->reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
@@ -60,9 +74,12 @@ Status ReadTriples(std::istream& in, size_t num_terms, const char* what,
 }  // namespace
 
 Status SaveGraphSnapshot(const Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  // Write a sibling file and rename it over `path` once it is durable, so a
+  // crash or a failed write never leaves `path` half-written.
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) {
-    return Status::InvalidArgument("cannot open " + path + " for writing");
+    return Status::InvalidArgument("cannot open " + tmp + " for writing");
   }
   out.write(kMagic, sizeof(kMagic));
   WriteU32(out, kVersion);
@@ -78,14 +95,22 @@ Status SaveGraphSnapshot(const Graph& graph, const std::string& path) {
   }
   WriteTriples(out, graph.schema_triples());
   WriteTriples(out, graph.data_triples());
-  out.flush();
-  if (!out) return Status::Internal("write to " + path + " failed");
+  out.close();
+  const int fd = out ? ::open(tmp.c_str(), O_RDONLY) : -1;
+  const bool synced = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ::close(fd);
+  if (!synced || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("write to " + path + " failed");
+  }
   return Status::OK();
 }
 
 Result<Graph> LoadGraphSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("cannot open " + path);
+  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
+  in.seekg(0);
 
   char magic[4];
   in.read(magic, sizeof(magic));
@@ -111,6 +136,9 @@ Result<Graph> LoadGraphSnapshot(const std::string& path) {
     if (kind_byte > 2) {
       return Status::ParseError("snapshot contains an unknown term kind");
     }
+    if (len > BytesLeft(in, file_size)) {
+      return Status::ParseError("snapshot term length exceeds the file");
+    }
     std::string lexical(len, '\0');
     in.read(lexical.data(), static_cast<std::streamsize>(len));
     if (!in.good()) {
@@ -127,11 +155,11 @@ Result<Graph> LoadGraphSnapshot(const std::string& path) {
   }
 
   std::vector<Triple> schema_triples;
-  RDFOPT_RETURN_NOT_OK(
-      ReadTriples(in, num_terms, "schema triples", &schema_triples));
+  RDFOPT_RETURN_NOT_OK(ReadTriples(in, file_size, num_terms, "schema triples",
+                                   &schema_triples));
   std::vector<Triple> data_triples;
-  RDFOPT_RETURN_NOT_OK(
-      ReadTriples(in, num_terms, "data triples", &data_triples));
+  RDFOPT_RETURN_NOT_OK(ReadTriples(in, file_size, num_terms, "data triples",
+                                   &data_triples));
   for (const Triple& t : schema_triples) graph.AddEncoded(t.s, t.p, t.o);
   for (const Triple& t : data_triples) graph.AddEncoded(t.s, t.p, t.o);
   graph.FinalizeSchema();

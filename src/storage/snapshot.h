@@ -21,10 +21,13 @@ namespace rdfopt {
 ///
 /// Term ids are implicit (dense, in dictionary order), so triples reference
 /// terms by position. Snapshots are not portable across endiannesses.
+/// The file is written as `<path>.tmp`, fsynced and renamed over `path`, so
+/// a failed save leaves any previous snapshot at `path` intact.
 Status SaveGraphSnapshot(const Graph& graph, const std::string& path);
 
 /// Loads a snapshot written by SaveGraphSnapshot. The returned graph's
-/// schema is already finalized.
+/// schema is already finalized. Counts and lengths read from the file are
+/// checked against its size before anything is allocated for them.
 Result<Graph> LoadGraphSnapshot(const std::string& path);
 
 }  // namespace rdfopt

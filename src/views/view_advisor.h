@@ -51,7 +51,7 @@ class ViewAdvisor {
   /// catalog's own locking; concurrent passes are harmless (idempotent).
   PassResult RunPass(ViewCatalog* catalog) const;
 
-  /// The scoring function, exposed for tests and the `.views stats` surface.
+  /// The scoring function, exposed for tests.
   static double Score(const ViewInfo& info);
 
  private:

@@ -26,8 +26,8 @@ struct ViewCatalogOptions {
   size_t max_ledger_entries = 1024;
 };
 
-/// Per-view row of the catalog listing (shell `.views stats`, server
-/// `!views`, and the advisor's scoring input).
+/// Per-view row of the catalog listing (the `views` admin command of
+/// service/admin.h, and the advisor's scoring input).
 struct ViewInfo {
   std::string signature;
   bool pinned = false;

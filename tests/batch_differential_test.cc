@@ -71,9 +71,9 @@ EngineProfile TupleProfile() {
   return p;
 }
 
-/// The batch engine over the same base: vector_width = kBatchRows and
-/// share_union_subplans = true (Vectorized also rescales the already-zero
-/// overheads, a no-op here).
+/// The batch engine over the same base: vector_width = kBatchRows, which
+/// also turns on union-subplan factoring (Vectorized also rescales the
+/// already-zero overheads, a no-op here).
 EngineProfile BatchProfile(size_t worker_threads) {
   EngineProfile p = Vectorized(TupleProfile());
   p.worker_threads = worker_threads;

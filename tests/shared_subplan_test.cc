@@ -1,5 +1,5 @@
 // Union-subplan factoring (DESIGN.md §11): with
-// EngineProfile::share_union_subplans, atom scans common to two or more
+// EngineProfile::vector_width > 1, atom scans common to two or more
 // disjunct chains of a union become execute-once shared subplans; the
 // chains reference them through kSharedRef leaves. These tests pin (a) when
 // the pass fires, (b) result identity with the unshared plan, (c) the
@@ -80,7 +80,7 @@ TEST(SharedSubplanTest, FactoringFiresOnlyWhenEnabled) {
   ASSERT_GT(ucq.size(), 100u);  // A real fan-out.
 
   EngineProfile off = FastBase();
-  ASSERT_FALSE(off.share_union_subplans);  // Seed default: sharing off.
+  ASSERT_EQ(off.vector_width, 1u);  // Seed default: no batches, no sharing.
   Evaluator seed_engine(&env.store, &off);
   PhysicalPlan unshared = seed_engine.planner().PlanUCQ(ucq);
   EXPECT_TRUE(unshared.shared_subplans.empty());
@@ -129,8 +129,7 @@ TEST(SharedSubplanTest, SharedResultsIdenticalToUnshared) {
   UnionQuery ucq = ReformulatedQ1(&q);
 
   EngineProfile off = FastBase();
-  EngineProfile on = off;
-  on.share_union_subplans = true;  // Same width: isolates the factoring.
+  EngineProfile on = Vectorized(FastBase());
   Evaluator unshared_engine(&env.store, &off);
   Evaluator shared_engine(&env.store, &on);
 
@@ -154,8 +153,7 @@ TEST(SharedSubplanTest, AnalyzeCountersAttributedOnce) {
   UnionQuery ucq = ReformulatedQ1(&q);
 
   EngineProfile off = FastBase();
-  EngineProfile on = off;
-  on.share_union_subplans = true;
+  EngineProfile on = Vectorized(FastBase());
   Evaluator unshared_engine(&env.store, &off);
   Evaluator shared_engine(&env.store, &on);
 
@@ -262,8 +260,7 @@ TEST(SharedSubplanTest, PlanDigestDistinguishesSharing) {
   Query q;
   UnionQuery ucq = ReformulatedQ1(&q);
   EngineProfile off = FastBase();
-  EngineProfile on = off;
-  on.share_union_subplans = true;
+  EngineProfile on = Vectorized(FastBase());
   Evaluator a(&env.store, &off);
   Evaluator b(&env.store, &on);
   PhysicalPlan unshared = a.planner().PlanUCQ(ucq);

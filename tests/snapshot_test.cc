@@ -1,7 +1,9 @@
 #include "storage/snapshot.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -23,6 +25,18 @@ class SnapshotTest : public ::testing::Test {
             "_" + std::to_string(getpid()) + ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
+
+  /// A snapshot header with `num_terms` dictionary entries, to be followed
+  /// by hand-written payload.
+  std::ofstream Header(uint64_t num_terms) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    const uint32_t version = 1;
+    out.write("RDFO", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&num_terms), sizeof(num_terms));
+    return out;
+  }
+
   std::string path_;
 };
 
@@ -99,6 +113,61 @@ TEST_F(SnapshotTest, RejectsTruncatedFile) {
   Result<Graph> r = LoadGraphSnapshot(path_);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+}
+
+// A corrupt triple count must be rejected against the file size, not
+// handed to vector::reserve (which would ask for 2^62 triples).
+TEST_F(SnapshotTest, RejectsTripleCountBeyondFile) {
+  {
+    std::ofstream out = Header(0);
+    const uint64_t count = uint64_t{1} << 62;
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  }
+  Result<Graph> r = LoadGraphSnapshot(path_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().ToString().find("count exceeds the file"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+// Likewise a corrupt term length: a 4 GiB string must not be allocated
+// before the truncation is noticed.
+TEST_F(SnapshotTest, RejectsTermLengthBeyondFile) {
+  {
+    std::ofstream out = Header(1);
+    const uint32_t len = UINT32_MAX;
+    out.put(0);  // TermKind::kIri.
+    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
+    out.write("http://ex/", 10);
+  }
+  Result<Graph> r = LoadGraphSnapshot(path_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().ToString().find("term length exceeds the file"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+// The save goes through `<path>.tmp` and a rename: when it cannot complete
+// (here the temp name is taken by a directory), the snapshot already at
+// `path` stays loadable and unchanged.
+TEST_F(SnapshotTest, FailedSaveKeepsPreviousSnapshot) {
+  Graph first;
+  first.AddIri("http://ex/s", "http://ex/p", "http://ex/o");
+  ASSERT_TRUE(SaveGraphSnapshot(first, path_).ok());
+
+  const std::string tmp = path_ + ".tmp";
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+  Graph second;
+  second.AddIri("http://ex/s", "http://ex/p", "http://ex/o");
+  second.AddIri("http://ex/s", "http://ex/p", "http://ex/o2");
+  EXPECT_FALSE(SaveGraphSnapshot(second, path_).ok());
+  ::rmdir(tmp.c_str());
+
+  Result<Graph> r = LoadGraphSnapshot(path_);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().num_data_triples(), 1u);
 }
 
 }  // namespace
