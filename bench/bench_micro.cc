@@ -10,7 +10,6 @@
 
 #include "bench_common.h"
 #include "common/trace.h"
-#include "rdf/hierarchy_encoding.h"
 #include "engine/evaluator.h"
 #include "engine/operators.h"
 #include "engine/planner.h"
@@ -285,26 +284,24 @@ void BM_HashJoinProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoinProbe);
 
-// Hierarchy-range collapse fixture (DESIGN.md §12): one university with 240
+// Materialized-view pair fixture (DESIGN.md §14): one university with 240
 // fine-grained professor specialty leaf classes, so `?x type ub:Professor`
-// reformulates into ~247 type disjuncts whose class hids form one DFS
-// interval. Separate from MicroEnv on purpose — the specialty knob changes
-// the generated dataset, and every other benchmark must keep the stock one.
-struct HierarchyEnv {
+// reformulates into ~247 type disjuncts. Separate from MicroEnv on purpose —
+// the specialty knob changes the generated dataset, and every other
+// benchmark must keep the stock one.
+struct ViewPairEnv {
   Graph graph;
   TripleStore store;
   UnionQuery ucq;
   VarTable vars;
 
-  HierarchyEnv() {
+  ViewPairEnv() {
     LubmOptions options;
     options.num_universities = 1;
     options.fine_grained_specializations = 240;
     GenerateLubm(options, &graph);
     graph.FinalizeSchema();
     store = TripleStore::Build(graph.data_triples());
-    store.AttachHierarchy(std::make_shared<const HierarchyEncoding>(
-        HierarchyEncoding::Build(graph.schema(), graph.vocab().rdf_type)));
     Result<Query> q = ParseQuery(
         "PREFIX ub: <http://lubm.example.org/univ#>\n"
         "SELECT ?x WHERE { ?x a ub:Professor . }",
@@ -315,60 +312,22 @@ struct HierarchyEnv {
   }
 };
 
-HierarchyEnv& HierEnv() {
-  static HierarchyEnv& env = *new HierarchyEnv();
+ViewPairEnv& ViewEnv() {
+  static ViewPairEnv& env = *new ViewPairEnv();
   return env;
 }
 
 /// Batch profile with the emulated per-term/per-tuple engine overheads
-/// zeroed: the ScanRange-vs-union ratio below must come from real executor
-/// work (per-branch scan setup, projection, union append), not from the
+/// zeroed: the view-vs-union ratio below must come from real executor work
+/// (per-branch scan setup, projection, union append), not from the
 /// profile's physical emulation of external engines.
-EngineProfile HierarchyBenchProfile(bool hierarchy_ranges) {
+EngineProfile ViewPairProfile() {
   EngineProfile p = Vectorized(PostgresLikeProfile());
   p.tuple_us_per_row = 0.0;
   p.materialization_us_per_row = 0.0;
   p.union_term_overhead_us = 0.0;
-  p.hierarchy_ranges = hierarchy_ranges;
   return p;
 }
-
-// The tentpole pair: the same ~247-term reformulated type query executed as
-// a single ScanRange plan (hierarchy encoding on) vs. the union-of-scans
-// plan (encoding off). The perf-smoke gate holds the ratio at >= 3x.
-void BM_ExecuteScanRangeJucq(benchmark::State& state) {
-  HierarchyEnv& env = HierEnv();
-  static const EngineProfile& profile =
-      *new EngineProfile(HierarchyBenchProfile(/*hierarchy_ranges=*/true));
-  Evaluator evaluator(&env.store, &profile);
-  PhysicalPlan plan = evaluator.planner().PlanUCQ(env.ucq);
-  if (plan.root->children[0]->union_terms >= env.ucq.disjuncts.size()) {
-    state.SkipWithError("union did not collapse");
-    return;
-  }
-  for (auto _ : state) {
-    Result<Relation> r = evaluator.ExecutePlan(&plan, nullptr);
-    benchmark::DoNotOptimize(r.ok());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(env.ucq.disjuncts.size()));
-}
-BENCHMARK(BM_ExecuteScanRangeJucq);
-
-void BM_ExecuteUnionOfScansJucq(benchmark::State& state) {
-  HierarchyEnv& env = HierEnv();
-  static const EngineProfile& profile =
-      *new EngineProfile(HierarchyBenchProfile(/*hierarchy_ranges=*/false));
-  Evaluator evaluator(&env.store, &profile);
-  PhysicalPlan plan = evaluator.planner().PlanUCQ(env.ucq);
-  for (auto _ : state) {
-    Result<Relation> r = evaluator.ExecutePlan(&plan, nullptr);
-    benchmark::DoNotOptimize(r.ok());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(env.ucq.disjuncts.size()));
-}
-BENCHMARK(BM_ExecuteUnionOfScansJucq);
 
 /// Minimal in-process view resolver for the pair below: remembers every
 /// offered fragment result and serves it back, so the second planning of the
@@ -395,9 +354,8 @@ class BenchViewResolver : public ViewResolver {
 // resolver) vs. re-evaluating the full union of scans each time. The
 // perf-smoke gate holds the ratio at >= 3x.
 void BM_ExecuteViewScanJucq(benchmark::State& state) {
-  HierarchyEnv& env = HierEnv();
-  static const EngineProfile& profile =
-      *new EngineProfile(HierarchyBenchProfile(/*hierarchy_ranges=*/false));
+  ViewPairEnv& env = ViewEnv();
+  static const EngineProfile& profile = *new EngineProfile(ViewPairProfile());
   Evaluator evaluator(&env.store, &profile);
   BenchViewResolver views;
   evaluator.set_views(&views);
@@ -422,9 +380,8 @@ void BM_ExecuteViewScanJucq(benchmark::State& state) {
 BENCHMARK(BM_ExecuteViewScanJucq);
 
 void BM_ExecuteViewsOffJucq(benchmark::State& state) {
-  HierarchyEnv& env = HierEnv();
-  static const EngineProfile& profile =
-      *new EngineProfile(HierarchyBenchProfile(/*hierarchy_ranges=*/false));
+  ViewPairEnv& env = ViewEnv();
+  static const EngineProfile& profile = *new EngineProfile(ViewPairProfile());
   Evaluator evaluator(&env.store, &profile);
   PhysicalPlan plan = evaluator.planner().PlanUCQ(env.ucq);
   for (auto _ : state) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Fuzz smoke: a short, budgeted fuzzing pass over the three harnesses
-# (SPARQL parser, N-Triples reader, service canonicalizer). Under Clang
+# Fuzz smoke: a short, budgeted fuzzing pass over the four harnesses
+# (SPARQL parser, N-Triples reader, service canonicalizer, graph snapshot
+# loader). Under Clang
 # each target fuzzes coverage-guided from its seed corpus for an equal
 # slice of RDFOPT_FUZZ_SECONDS (default 60 total); under other compilers
 # the harnesses replay the corpus once, which still exercises every seed
@@ -20,6 +21,7 @@ TARGETS=(
   "sparql_parser_fuzz:$REPO_ROOT/fuzz/corpus/sparql"
   "ntriples_fuzz:$REPO_ROOT/fuzz/corpus/ntriples"
   "canonical_fuzz:$REPO_ROOT/fuzz/corpus/sparql"
+  "snapshot_fuzz:$REPO_ROOT/fuzz/corpus/snapshot"
 )
 
 PER_TARGET=$(( TOTAL_SECONDS / ${#TARGETS[@]} ))

@@ -3,7 +3,7 @@
 # a few queries over the line protocol, scrapes the Prometheus endpoint
 # (`!prom`) and the slow-query log (`!slowlog`), and validates both formats;
 # then checks the `!views` and `!stats` replies and that `!slowlog clear`
-# empties the log.
+# empties the log. First it checks that malformed flag values are refused.
 #
 # Usage: ci/prom_smoke.sh [build_dir]   (default: build)
 set -euo pipefail
@@ -16,6 +16,20 @@ if [[ ! -x "$SERVER" ]]; then
   echo "prom_smoke: $SERVER not built" >&2
   exit 1
 fi
+
+# Malformed flag values are refused before anything is served: the server
+# prints its usage and exits with status 2. One that started serving instead
+# is stopped by the timeout, whose status (124) fails the check too.
+for bad in "--port abc" "--port 0" "--port 70000" "--max-rows x" \
+           "--max-rows 0" "--slow-ms nan" "--slow-ms -1" "--views maybe"; do
+  status=0
+  # shellcheck disable=SC2086  # Split "--flag value" into two arguments.
+  timeout 30 "$SERVER" $bad --lubm 1 >/dev/null 2>&1 || status=$?
+  if [[ "$status" -ne 2 ]]; then
+    echo "prom_smoke: '$bad' exited with status $status, expected 2" >&2
+    exit 1
+  fi
+done
 
 # --slow-ms 0: every request qualifies for the slow-query log, so the scrape
 # below is guaranteed lines to validate.

@@ -7,6 +7,8 @@
 // Usage:
 //   rdfopt_server [--port N] [--max-rows N] [--slow-ms X] [--views on|off]
 //                 <file.nt> | --lubm <universities> | --dblp <publications>
+// --port is 1..65535, --max-rows a positive integer, --slow-ms a finite
+// number >= 0; any other value prints the usage and exits with status 2.
 //
 // Line protocol (README "Serving"; try `nc localhost 8094`): one request
 // per line, one JSON line back.
@@ -28,7 +30,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <set>
@@ -176,14 +177,20 @@ int main(int argc, char** argv) {
   ServerState state;
   bool loaded = false;
   for (size_t i = 0; i < args.size();) {
-    if (args[i] == "--port" && i + 1 < args.size()) {
-      port = static_cast<uint16_t>(std::atoi(args[i + 1].c_str()));
-    } else if (args[i] == "--max-rows" && i + 1 < args.size()) {
-      state.max_rows = static_cast<size_t>(std::atoi(args[i + 1].c_str()));
-    } else if (args[i] == "--slow-ms" && i + 1 < args.size()) {
-      slow_ms = std::atof(args[i + 1].c_str());
-    } else if (args[i] == "--views" && i + 1 < args.size()) {
-      enable_views = (args[i + 1] != "off");
+    const std::string& flag = args[i];
+    const std::string value = i + 1 < args.size() ? args[i + 1] : "";
+    size_t n = 0;
+    bool valid = true;
+    if (flag == "--port") {
+      valid = ParseCount(value, &n) && n <= 65535;
+      port = static_cast<uint16_t>(n);
+    } else if (flag == "--max-rows") {
+      valid = ParseCount(value, &state.max_rows);
+    } else if (flag == "--slow-ms") {
+      valid = ParseMs(value, &slow_ms);
+    } else if (flag == "--views") {
+      valid = value == "on" || value == "off";
+      enable_views = value == "on";
     } else {
       Result<std::string> preamble = LoadDataset(args, &i, &graph);
       if (!preamble.ok()) {
@@ -193,6 +200,11 @@ int main(int argc, char** argv) {
       state.preamble = preamble.TakeValue();
       loaded = true;
       continue;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "bad value '%s' for %s\n", value.c_str(),
+                   flag.c_str());
+      return Usage();
     }
     i += 2;
   }

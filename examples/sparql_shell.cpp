@@ -17,9 +17,7 @@
 //                          (`analyze`: with each node's actual rows)
 //   .sql on|off            print the SQL deployment of the JUCQ
 //   .trace on|off          print the span tree after each query
-//   .threads N             evaluator worker threads (1 = sequential)
-//   .encoding on|off       hierarchy-aware (LiteMat-style) ids: unions over
-//                          a class/property subtree become range scans
+//   .threads N             evaluator worker threads, 1..64 (1 = sequential)
 //   .vector [N|off]        batch engine with batch size N (default 1024)
 //                          and union-subplan factoring, or tuple-at-a-time
 //   .verify on|off         verify every physical plan before running it
@@ -31,7 +29,7 @@
 //   .calibrate             fit the cost-model constants on this machine
 //   .stats                 database statistics
 //   .help / .quit
-// Answers are identical under every .threads/.encoding/.vector setting.
+// Answers are identical under every .threads/.vector setting.
 //
 // Every other dot command is an admin command of service/admin.h, the
 // table in README "Serving": `.service` (its `stats`), `.views`,
@@ -61,6 +59,9 @@
 namespace {
 
 using namespace rdfopt;
+
+/// Upper bound of `.threads N`.
+constexpr size_t kMaxThreads = 64;
 
 void PrintAnswers(const Relation& answers, const Dictionary& dict,
                   size_t limit = 20) {
@@ -140,7 +141,7 @@ int main(int argc, char** argv) {
         std::printf(".strategy ucq|scq|ecov|gcov|saturation | .prune on|off "
                     "| .subsume on|off | .minimize on|off "
                     "| .explain on|off|analyze | .sql on|off | .trace on|off "
-                    "| .threads N | .encoding on|off | .vector [N|off] "
+                    "| .threads N | .vector [N|off] "
                     "| .verify on|off | .service on|off | .views on|off "
                     "| .calibrate | .stats | .quit\n"
                     "admin commands, printed as JSON (README \"Serving\"): "
@@ -176,34 +177,16 @@ int main(int argc, char** argv) {
         TraceSession::Install(trace ? &trace_session : nullptr);
         std::printf("trace = %s\n", trace ? "on" : "off");
       } else if (op == ".threads") {
-        int n = std::atoi(arg.c_str());
-        if (n < 1) {
-          std::printf(".threads N — N >= 1 (1 = sequential)\n");
+        // N - 1 OS threads start on the next query, so N is bounded.
+        size_t n = 0;
+        if (!ParseCount(arg, &n) || n > kMaxThreads) {
+          std::printf(".threads N — 1 <= N <= %zu (1 = sequential)\n",
+                      kMaxThreads);
           continue;
         }
-        profile.worker_threads = static_cast<size_t>(n);
-        std::printf("threads = %d%s\n", n,
+        profile.worker_threads = n;
+        std::printf("threads = %zu%s\n", n,
                     n == 1 ? " (sequential)" : "");
-      } else if (op == ".encoding") {
-        if (arg == "on") {
-          if (store.hierarchy() == nullptr) {
-            store.AttachHierarchy(std::make_shared<const HierarchyEncoding>(
-                HierarchyEncoding::Build(graph.schema(),
-                                         graph.vocab().rdf_type)));
-          }
-          profile.hierarchy_ranges = true;
-          std::printf("encoding = on (%zu class hids, %zu property hids; "
-                      "reformulation unions collapse to interval scans)\n",
-                      static_cast<size_t>(store.hierarchy()->num_class_hids()),
-                      static_cast<size_t>(store.hierarchy()->num_property_hids()));
-        } else if (arg == "off") {
-          profile.hierarchy_ranges = false;
-          std::printf("encoding = off\n");
-        } else {
-          std::printf(".encoding on|off\n");
-          continue;
-        }
-        note_service("encoding");
       } else if (op == ".vector") {
         // The answerer holds a pointer to `profile`, so assigning through
         // it switches the engine for every later query. Worker threads are

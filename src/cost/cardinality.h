@@ -42,11 +42,6 @@ class CardinalityEstimator {
   }
   const EstimateFeedbackStore* feedback() const { return feedback_; }
 
-  /// The store estimates are computed against. The planner reads its
-  /// attached HierarchyEncoding (if any) for range collapse, and prices
-  /// kScanRange nodes with the store's exact O(1) hid-range counts.
-  const TripleStore* store() const { return store_; }
-
   /// Exact number of triples matching the atom's constant positions
   /// (ignoring repeated-variable filters, which only shrink the result).
   double EstimateAtom(const TriplePattern& atom) const;

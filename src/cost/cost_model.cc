@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cost/range_collapse.h"
-
 namespace rdfopt {
 
 double PaperCostModel::UniqueCost(double rows) const {
@@ -53,16 +51,6 @@ UcqCostInputs ComputeUcqCostInputs(const UnionQuery& ucq,
     inputs.scan_sum += estimator.EstimateCqPlanWork(cq);
   }
   inputs.est_result = estimator.EstimateUCQ(ucq);
-  return inputs;
-}
-
-UcqCostInputs ComputeUcqCostInputs(const UnionQuery& ucq,
-                                   const CardinalityEstimator& estimator,
-                                   const HierarchyEncoding* encoding) {
-  UcqCostInputs inputs = ComputeUcqCostInputs(ucq, estimator);
-  if (encoding != nullptr) {
-    inputs.num_disjuncts = AnalyzeRangeCollapse(ucq, *encoding).post_terms();
-  }
   return inputs;
 }
 

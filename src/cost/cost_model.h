@@ -9,8 +9,6 @@
 
 namespace rdfopt {
 
-class HierarchyEncoding;
-
 /// Aggregates of one (reformulated) UCQ consumed by the cost formulas.
 /// The paper's model is linear in per-atom scan cardinalities, so these
 /// three numbers summarize a UCQ completely for costing purposes.
@@ -75,17 +73,6 @@ class PaperCostModel {
 /// work, result estimate via EstimateUCQ.
 UcqCostInputs ComputeUcqCostInputs(const UnionQuery& ucq,
                                    const CardinalityEstimator& estimator);
-
-/// Hierarchy-aware variant (DESIGN.md §12): when `encoding` is non-null,
-/// `num_disjuncts` becomes the post-collapse term count of the same
-/// AnalyzeRangeCollapse decomposition the planner executes — each collapsed
-/// range is one term — so the c_union_term charge prices the plan the
-/// engine will actually run. `scan_sum` is unchanged: a range scan reads
-/// exactly the rows its member scans would (the win is per-term overhead,
-/// not per-tuple work). Null `encoding` degrades to the plain variant.
-UcqCostInputs ComputeUcqCostInputs(const UnionQuery& ucq,
-                                   const CardinalityEstimator& estimator,
-                                   const HierarchyEncoding* encoding);
 
 /// Ablation variant: scan_sum is the literal eq. (2) measure — the sum of
 /// the per-triple cardinalities Σ_CQ Σ_t |CQ{t}| — instead of the

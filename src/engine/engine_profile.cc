@@ -35,7 +35,6 @@ EngineProfile MakeDb2Like() {
   p.cost.c_union_term = 400.0;
   p.cost.c_m = 1.0;
   p.cost.c_t = 1.0;
-  p.cost.c_r = 1.0;
   p.cost.c_j = 1.0;
   return p;
 }
@@ -51,7 +50,6 @@ EngineProfile MakePostgresLike() {
   p.cost.c_union_term = 150.0;
   p.cost.c_m = 2.0;
   p.cost.c_t = 1.5;
-  p.cost.c_r = 1.5;
   p.cost.c_j = 1.5;
   return p;
 }
@@ -67,7 +65,6 @@ EngineProfile MakeMysqlLike() {
   p.cost.c_union_term = 250.0;
   p.cost.c_m = 8.0;
   p.cost.c_t = 2.5;
-  p.cost.c_r = 2.5;
   p.cost.c_j = 2.5;
   return p;
 }
@@ -83,7 +80,6 @@ EngineProfile MakeNativeStore() {
   p.cost.c_union_term = 20.0;
   p.cost.c_m = 0.2;
   p.cost.c_t = 0.2;
-  p.cost.c_r = 0.2;
   p.cost.c_j = 0.2;
   return p;
 }
@@ -109,7 +105,6 @@ EngineProfile Vectorized(const EngineProfile& base, size_t width) {
   // tracking the emulated engine; c_db (per-query) and the dedup spill
   // threshold are width-independent.
   p.cost.c_t = base.cost.c_t / w;
-  p.cost.c_r = base.cost.c_r / w;
   p.cost.c_j = base.cost.c_j / w;
   p.cost.c_m = base.cost.c_m / w;
   p.cost.c_l = base.cost.c_l / w;

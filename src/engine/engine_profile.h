@@ -81,14 +81,6 @@ struct EngineProfile {
   /// each branch in isolation, so width 1 never factors.
   size_t vector_width = 1;
 
-  /// Enables the planner's hierarchy-range collapse (DESIGN.md §12): when
-  /// the store carries a HierarchyEncoding, a reformulated N-branch union of
-  /// per-class (per-property) scans becomes a single kScanRange interval
-  /// scan plus a residual union. Off by default — including for Vectorized
-  /// profiles — because it changes plan shapes and costs; opted into by the
-  /// shell (`.encoding on`), benchmarks and the hierarchy test suites.
-  bool hierarchy_ranges = false;
-
   /// Calibrated §4.1 cost-model constants for this engine.
   CostConstants cost;
 };

@@ -37,10 +37,6 @@ void RecordEngineMetrics(const EvalMetrics& after, const EvalMetrics& before) {
       registry.GetCounter("engine.bytes_materialized");
   static MetricCounter* duplicates_removed =
       registry.GetCounter("engine.duplicates_removed");
-  static MetricCounter* range_rows_scanned =
-      registry.GetCounter("engine.range_rows_scanned");
-  static MetricCounter* union_terms_collapsed =
-      registry.GetCounter("engine.union_terms_collapsed");
   static MetricHistogram* evaluate_ms =
       registry.GetHistogram("engine.evaluate_ms");
   // The windowed twin of engine.evaluate_ms: p99 over the last minute, the
@@ -57,10 +53,6 @@ void RecordEngineMetrics(const EvalMetrics& after, const EvalMetrics& before) {
                           before.bytes_materialized);
   duplicates_removed->Add(after.duplicates_removed -
                           before.duplicates_removed);
-  range_rows_scanned->Add(after.range_rows_scanned -
-                          before.range_rows_scanned);
-  union_terms_collapsed->Add(after.union_terms_collapsed -
-                             before.union_terms_collapsed);
   evaluate_ms->Observe(after.elapsed_ms - before.elapsed_ms);
   evaluate_ms_window->Observe(after.elapsed_ms - before.elapsed_ms);
 }
@@ -221,30 +213,6 @@ Result<RelHandle> Evaluator::ExecAtomScan(PlanNode* node, Exec* exec) const {
   }
   Relation out = ScanAtom(*store_, atom);
   span.Attr("rows_scanned", scan_size);
-  span.Attr("output_rows", out.num_rows());
-  NoteResult(node, out);
-  return RelHandle(std::move(out));
-}
-
-Result<RelHandle> Evaluator::ExecScanRange(PlanNode* node, Exec* exec) const {
-  RDFOPT_RETURN_NOT_OK(CheckTimeout(*exec));
-  TraceSpan span("op.scan_range");
-  span.Attr("node", node->id);
-  const size_t scan_size = ScanRangeInputSize(
-      *store_, node->range_class_space, node->range_lo, node->range_hi);
-  exec->metrics->rows_scanned += scan_size;
-  exec->metrics->range_rows_scanned += scan_size;
-  if constexpr (kNodeTelemetry) node->rows_scanned = scan_size;
-  // Like any driving scan: per-tuple executor overhead paid here, charged
-  // once for the whole interval — this, not fewer rows, is the collapse win.
-  if (node->driving_scan) {
-    ChargeEmulated(exec, profile_->tuple_us_per_row *
-                             static_cast<double>(scan_size));
-  }
-  Relation out = ScanRange(*store_, node->atom, node->range_class_space,
-                           node->range_lo, node->range_hi);
-  span.Attr("rows_scanned", scan_size);
-  span.Attr("range_terms", node->range_terms);
   span.Attr("output_rows", out.num_rows());
   NoteResult(node, out);
   return RelHandle(std::move(out));
@@ -412,10 +380,6 @@ Result<RelHandle> Evaluator::ExecUnionAll(PlanNode* node, Exec* exec) const {
         UnionLimitMessage(node->union_terms, *profile_));
   }
   exec->metrics->union_terms += node->union_terms;
-  if (node->pre_collapse_terms > node->union_terms) {
-    exec->metrics->union_terms_collapsed +=
-        node->pre_collapse_terms - node->union_terms;
-  }
 
   if (exec->shared->pool != nullptr && node->parallel_safe &&
       node->children.size() > 1) {
@@ -643,8 +607,6 @@ Result<RelHandle> Evaluator::ExecNode(PlanNode* node, Exec* exec) const {
   switch (node->kind) {
     case PlanNodeKind::kAtomScan:
       return ExecAtomScan(node, exec);
-    case PlanNodeKind::kScanRange:
-      return ExecScanRange(node, exec);
     case PlanNodeKind::kIndexJoinAtom:
       return ExecIndexJoin(node, exec);
     case PlanNodeKind::kHashJoin:

@@ -39,10 +39,6 @@ struct EvalMetrics {
   size_t bytes_materialized = 0;  ///< Bytes spooled at materialize barriers
                                   ///< (cells × sizeof(ValueId)).
   size_t duplicates_removed = 0;  ///< Rows dropped by duplicate elimination.
-  size_t range_rows_scanned = 0;  ///< Rows read by hid-interval range scans
-                                  ///< (also included in rows_scanned).
-  size_t union_terms_collapsed = 0;  ///< Union terms absorbed into ScanRange
-                                     ///< branches (pre-collapse − executed).
   double elapsed_ms = 0.0;        ///< Wall-clock evaluation time.
 
   /// Adds `other`'s counters into this struct. Parallel workers accumulate
@@ -56,8 +52,6 @@ struct EvalMetrics {
     rows_materialized += other.rows_materialized;
     bytes_materialized += other.bytes_materialized;
     duplicates_removed += other.duplicates_removed;
-    range_rows_scanned += other.range_rows_scanned;
-    union_terms_collapsed += other.union_terms_collapsed;
     elapsed_ms += other.elapsed_ms;
   }
 };
@@ -243,9 +237,6 @@ class Evaluator {
   /// consuming branch by reference instead of by copy.
   Result<RelHandle> ExecNode(PlanNode* node, Exec* exec) const;
   Result<RelHandle> ExecAtomScan(PlanNode* node, Exec* exec) const;
-  /// One hid-interval scan over the store's hierarchy shadow index,
-  /// replacing the N member scans of a collapsed union group.
-  Result<RelHandle> ExecScanRange(PlanNode* node, Exec* exec) const;
   Result<RelHandle> ExecIndexJoin(PlanNode* node, Exec* exec) const;
   Result<RelHandle> ExecHashJoin(PlanNode* node, Exec* exec) const;
   Result<RelHandle> ExecUnionAll(PlanNode* node, Exec* exec) const;

@@ -180,10 +180,6 @@ class PlanPrinter {
     }
     out_ += "UNION of " + std::to_string(u->union_terms) + " term(s), ~" +
             FormatRows(dedup->est_rows) + " rows";
-    if (u->pre_collapse_terms > u->union_terms) {
-      out_ += " [collapsed from " + std::to_string(u->pre_collapse_terms) +
-              "]";
-    }
     if (plan_.num_components > 1) {
       out_ += materialized ? " [materialized]" : " [pipelined]";
     }
@@ -258,15 +254,6 @@ class PlanPrinter {
       case PlanNodeKind::kSharedRef:
         out_ += "      scan   " + ToString(node->atom, vars_, dict_) +
                 "  [shared s" + std::to_string(node->shared_index) + ", ~" +
-                FormatRows(node->est_rows) + " rows]" + NodeSuffix(*node) +
-                "\n";
-        break;
-      case PlanNodeKind::kScanRange:
-        out_ += "      range  " + ToString(node->atom, vars_, dict_) +
-                "  [" + (node->range_class_space ? "class" : "property") +
-                " hids [" + std::to_string(node->range_lo) + "," +
-                std::to_string(node->range_hi) + ") x" +
-                std::to_string(node->range_terms) + " terms, ~" +
                 FormatRows(node->est_rows) + " rows]" + NodeSuffix(*node) +
                 "\n";
         break;

@@ -129,87 +129,6 @@ class JoinTable {
   size_t mask_ = 0;
 };
 
-/// Shared scan projection core: appends `matches` projected onto `shape`'s
-/// columns to `out`. Positions with `filter[i] != kAnyValue` must equal it
-/// (ScanRange re-checks constants its shadow-index slice does not pin), and
-/// repeated variables must agree.
-void AppendMatches(const AtomShape& shape, std::span<const Triple> matches,
-                   const ValueId filter[3], Relation* out) {
-  const size_t arity = out->arity();
-  const bool has_filter = filter[0] != kAnyValue || filter[1] != kAnyValue ||
-                          filter[2] != kAnyValue;
-  if (arity == 0) {
-    // Boolean output: matches passing the filter contribute one empty row.
-    size_t count = 0;
-    for (const Triple& t : matches) {
-      const ValueId values[3] = {t.s, t.p, t.o};
-      bool ok = true;
-      for (int i = 0; i < 3; ++i) {
-        if (filter[i] != kAnyValue && values[i] != filter[i]) ok = false;
-      }
-      count += ok ? 1 : 0;
-    }
-    out->AppendUninitialized(count);
-    return;
-  }
-
-  int var_positions = 0;
-  for (int i = 0; i < 3; ++i) {
-    if (shape.pos_to_col[i] >= 0) ++var_positions;
-  }
-  if (!has_filter && static_cast<size_t>(var_positions) == arity) {
-    // No repeated variable, nothing to filter: every match qualifies, so the
-    // whole scan is one dense batch — a single grow, then straight-line
-    // stores.
-    ValueId* w = out->AppendUninitialized(matches.size());
-    for (const Triple& t : matches) {
-      const ValueId values[3] = {t.s, t.p, t.o};
-      for (int i = 0; i < 3; ++i) {
-        int col = shape.pos_to_col[i];
-        if (col >= 0) w[col] = values[i];
-      }
-      w += arity;
-    }
-    return;
-  }
-
-  // Filter path: stage qualifying rows batch-at-a-time, then bulk-append
-  // each full batch.
-  std::vector<ValueId> stage(kBatchRows * arity);
-  size_t staged = 0;
-  for (const Triple& t : matches) {
-    const ValueId values[3] = {t.s, t.p, t.o};
-    bool consistent = true;
-    for (int i = 0; i < 3; ++i) {
-      if (filter[i] != kAnyValue && values[i] != filter[i]) consistent = false;
-    }
-    if (!consistent) continue;
-    ValueId* row = stage.data() + staged * arity;
-    // First write wins; later positions mapping to the same column must
-    // agree (repeated-variable filter).
-    for (size_t c = 0; c < arity; ++c) row[c] = kInvalidValueId;
-    for (int i = 0; i < 3 && consistent; ++i) {
-      int col = shape.pos_to_col[i];
-      if (col < 0) continue;
-      if (row[col] == kInvalidValueId) {
-        row[col] = values[i];
-      } else if (row[col] != values[i]) {
-        consistent = false;
-      }
-    }
-    if (!consistent) continue;
-    if (++staged == kBatchRows) {
-      out->AppendBatch(Batch{stage.data(), arity, staged, nullptr, 0});
-      staged = 0;
-    }
-  }
-  if (staged > 0) {
-    out->AppendBatch(Batch{stage.data(), arity, staged, nullptr, 0});
-  }
-}
-
-constexpr ValueId kNoFilter[3] = {kAnyValue, kAnyValue, kAnyValue};
-
 }  // namespace
 
 size_t ScanAtomInputSize(const TripleStore& store, const TriplePattern& atom) {
@@ -222,36 +141,61 @@ Relation ScanAtom(const TripleStore& store, const TriplePattern& atom) {
   std::span<const Triple> matches = store.Match(
       BoundOrAny(atom.s), BoundOrAny(atom.p), BoundOrAny(atom.o));
   Relation out(shape.columns);
-  AppendMatches(shape, matches, kNoFilter, &out);
-  return out;
-}
-
-size_t ScanRangeInputSize(const TripleStore& store, bool class_space,
-                          uint32_t lo, uint32_t hi) {
-  return class_space ? store.CountClassHidRange(lo, hi)
-                     : store.CountPropertyHidRange(lo, hi);
-}
-
-Relation ScanRange(const TripleStore& store, const TriplePattern& rep_atom,
-                   bool class_space, uint32_t lo, uint32_t hi) {
-  AtomShape shape = ShapeOf(rep_atom);
-  std::span<const Triple> matches = class_space
-                                        ? store.MatchClassHidRange(lo, hi)
-                                        : store.MatchPropertyHidRange(lo, hi);
-  Relation out(shape.columns);
-  // The masked position (type-atom object / predicate) ranges over the hid
-  // interval, so it is never filtered; other constant positions the shadow
-  // index does not pin are re-checked per triple. In class space the
-  // predicate is rdf:type on every shadow triple already.
-  const int masked = class_space ? 2 : 1;
-  const PatternTerm* terms[3] = {&rep_atom.s, &rep_atom.p, &rep_atom.o};
-  ValueId filter[3] = {kAnyValue, kAnyValue, kAnyValue};
-  for (int i = 0; i < 3; ++i) {
-    if (i == masked || terms[i]->is_var()) continue;
-    if (class_space && i == 1) continue;
-    filter[i] = terms[i]->value();
+  const size_t arity = out.arity();
+  if (arity == 0) {
+    // Boolean output: every match contributes one empty row.
+    out.AppendUninitialized(matches.size());
+    return out;
   }
-  AppendMatches(shape, matches, filter, &out);
+
+  int var_positions = 0;
+  for (int i = 0; i < 3; ++i) {
+    if (shape.pos_to_col[i] >= 0) ++var_positions;
+  }
+  if (static_cast<size_t>(var_positions) == arity) {
+    // No repeated variable: every match qualifies, so the whole scan is one
+    // dense batch — a single grow, then straight-line stores.
+    ValueId* w = out.AppendUninitialized(matches.size());
+    for (const Triple& t : matches) {
+      const ValueId values[3] = {t.s, t.p, t.o};
+      for (int i = 0; i < 3; ++i) {
+        int col = shape.pos_to_col[i];
+        if (col >= 0) w[col] = values[i];
+      }
+      w += arity;
+    }
+    return out;
+  }
+
+  // Repeated-variable filter: stage qualifying rows batch-at-a-time, then
+  // bulk-append each full batch.
+  std::vector<ValueId> stage(kBatchRows * arity);
+  size_t staged = 0;
+  for (const Triple& t : matches) {
+    const ValueId values[3] = {t.s, t.p, t.o};
+    ValueId* row = stage.data() + staged * arity;
+    // First write wins; later positions mapping to the same column must
+    // agree.
+    for (size_t c = 0; c < arity; ++c) row[c] = kInvalidValueId;
+    bool consistent = true;
+    for (int i = 0; i < 3 && consistent; ++i) {
+      int col = shape.pos_to_col[i];
+      if (col < 0) continue;
+      if (row[col] == kInvalidValueId) {
+        row[col] = values[i];
+      } else if (row[col] != values[i]) {
+        consistent = false;
+      }
+    }
+    if (!consistent) continue;
+    if (++staged == kBatchRows) {
+      out.AppendBatch(Batch{stage.data(), arity, staged, nullptr, 0});
+      staged = 0;
+    }
+  }
+  if (staged > 0) {
+    out.AppendBatch(Batch{stage.data(), arity, staged, nullptr, 0});
+  }
   return out;
 }
 

@@ -25,22 +25,6 @@ Relation ScanAtom(const TripleStore& store, const TriplePattern& atom);
 /// filtering); O(log n).
 size_t ScanAtomInputSize(const TripleStore& store, const TriplePattern& atom);
 
-/// Hierarchy interval scan (DESIGN.md §12): selects every triple of the
-/// store's hid-ordered shadow index with hid in `[lo, hi)` — class hids
-/// (type triples, `class_space` true) or property hids — and projects them
-/// onto `rep_atom`'s variables. `rep_atom` is the representative pattern of
-/// the collapsed union branches: its masked position (the type-atom object,
-/// resp. the predicate) ranges over the interval; its other constants are
-/// enforced per triple. Requires TripleStore::AttachHierarchy (empty result
-/// otherwise). Output ordering: (hid, subject[, object]) — the concatenation
-/// of the per-constant scans in hid order.
-Relation ScanRange(const TripleStore& store, const TriplePattern& rep_atom,
-                   bool class_space, uint32_t lo, uint32_t hi);
-
-/// Number of shadow-index entries the range scan reads; O(1).
-size_t ScanRangeInputSize(const TripleStore& store, bool class_space,
-                          uint32_t lo, uint32_t hi);
-
 /// Natural hash join on the shared columns (build on the smaller input).
 /// With no shared column this is the cartesian product. Output columns:
 /// left columns, then right-only columns.

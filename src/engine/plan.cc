@@ -20,8 +20,6 @@ std::string_view PlanNodeKindName(PlanNodeKind kind) {
       return "MaterializeBarrier";
     case PlanNodeKind::kSharedRef:
       return "SharedRef";
-    case PlanNodeKind::kScanRange:
-      return "ScanRange";
     case PlanNodeKind::kViewScan:
       return "ViewScan";
   }
@@ -65,11 +63,6 @@ std::unique_ptr<PlanNode> CloneNode(const PlanNode* node) {
   copy->component = node->component;
   copy->component_join = node->component_join;
   copy->shared_index = node->shared_index;
-  copy->range_lo = node->range_lo;
-  copy->range_hi = node->range_hi;
-  copy->range_class_space = node->range_class_space;
-  copy->range_terms = node->range_terms;
-  copy->pre_collapse_terms = node->pre_collapse_terms;
   copy->view_signature = node->view_signature;
   copy->view_rows = node->view_rows;
   copy->out_columns = node->out_columns;
@@ -129,11 +122,6 @@ void DigestNode(uint64_t* h, const PlanNode* node) {
   FnvTerm(h, node->atom.o);
   FnvMix(h, node->union_terms);
   FnvMix(h, static_cast<uint64_t>(static_cast<int64_t>(node->shared_index)));
-  if (node->kind == PlanNodeKind::kScanRange) {
-    FnvMix(h, (static_cast<uint64_t>(node->range_lo) << 33) |
-                  (static_cast<uint64_t>(node->range_hi) << 1) |
-                  (node->range_class_space ? 1u : 0u));
-  }
   if (node->kind == PlanNodeKind::kViewScan) {
     // The signature identifies which component UCQ the view stands in for;
     // without it two plans substituting different views would collide.

@@ -38,10 +38,6 @@ enum class PlanNodeKind {
                         ///< the enclosing plan (union-subplan factoring):
                         ///< the node produces the shared result by
                         ///< reference, without re-executing it.
-  kScanRange,           ///< Hierarchy interval scan (DESIGN.md §12): one
-                        ///< slice of the hid-ordered shadow index covering
-                        ///< what would otherwise be a union of per-constant
-                        ///< scans over `[range_lo, range_hi)`.
   kViewScan,            ///< Materialized-view read (DESIGN.md §14): the rows
                         ///< of a whole component UCQ, previously computed and
                         ///< admitted to the ViewCatalog, substituted for the
@@ -107,22 +103,6 @@ struct PlanNode {
   /// this node references. Also set on the shared subplan's own root (its
   /// index), so EXPLAIN and the slow-query log can label both sides.
   int shared_index = -1;
-  /// kScanRange: the hid interval scanned, half-open. `atom` holds the
-  /// representative pattern (the first collapsed disjunct's atom) whose
-  /// masked position — the type-atom object, or the predicate — ranges over
-  /// the interval; the variable layout of every collapsed disjunct is
-  /// identical by construction (the collapse signature).
-  uint32_t range_lo = 0;
-  uint32_t range_hi = 0;
-  /// kScanRange: true when the interval ranges over class hids (a type-atom
-  /// object; scans the type shadow index), false for property hids (a
-  /// predicate; scans the property shadow index).
-  bool range_class_space = false;
-  /// kScanRange: number of union disjuncts this node collapsed.
-  size_t range_terms = 0;
-  /// kUnionAll: disjunct count before range collapse (equals `union_terms`
-  /// when no collapse happened). EXPLAIN prints "collapsed from N".
-  size_t pre_collapse_terms = 0;
   /// kViewScan: canonical signature of the component UCQ the view
   /// materializes (ViewSignature). Also stamped on component-root kDedup
   /// nodes when a view resolver is wired, so the executor can offer the

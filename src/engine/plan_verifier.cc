@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "engine/relation.h"
 #include "rdf/dictionary.h"
-#include "storage/triple_store.h"
 
 namespace rdfopt {
 
@@ -20,9 +19,8 @@ namespace {
 /// it in one round trip.
 class Verifier {
  public:
-  Verifier(const PhysicalPlan& plan, const TripleStore* store,
-           const Dictionary* dict)
-      : plan_(plan), store_(store), dict_(dict) {}
+  Verifier(const PhysicalPlan& plan, const Dictionary* dict)
+      : plan_(plan), dict_(dict) {}
 
   PlanVerifyResult Run() {
     if (plan_.root == nullptr) {
@@ -211,41 +209,6 @@ class Verifier {
         } else {
           CheckSchemaEquals(*node, AtomColumns(node->atom), "atom columns");
         }
-        break;
-      }
-      case PlanNodeKind::kScanRange: {
-        CheckChildCount(*node, 0);
-        if (node->range_lo >= node->range_hi) {
-          Fail(node->id, "scan-range",
-               "empty or inverted hid interval [" +
-                   std::to_string(node->range_lo) + ", " +
-                   std::to_string(node->range_hi) + ")");
-        }
-        if (node->range_terms < 1) {
-          Fail(node->id, "scan-range",
-               "range collapsed zero union terms");
-        }
-        if (!node->driving_scan) {
-          Fail(node->id, "scan-range",
-               "ScanRange must drive its chain: the shadow index emits "
-               "(hid, subject) order no probe order survives");
-        }
-        const HierarchyEncoding* enc =
-            store_ != nullptr ? store_->hierarchy() : nullptr;
-        if (enc != nullptr) {
-          const size_t num_hids = node->range_class_space
-                                      ? enc->num_class_hids()
-                                      : enc->num_property_hids();
-          if (node->range_hi > num_hids) {
-            Fail(node->id, "scan-range",
-                 "hid interval [" + std::to_string(node->range_lo) + ", " +
-                     std::to_string(node->range_hi) + ") exceeds the " +
-                     (node->range_class_space ? "class" : "property") +
-                     " hid space of " + std::to_string(num_hids));
-          }
-        }
-        CheckSchemaEquals(*node, AtomColumns(node->atom),
-                          "representative atom columns");
         break;
       }
       case PlanNodeKind::kSharedRef: {
@@ -449,7 +412,6 @@ class Verifier {
   }
 
   const PhysicalPlan& plan_;
-  const TripleStore* store_;
   const Dictionary* dict_;
   PlanVerifyResult result_;
   int next_id_ = 0;
@@ -471,10 +433,6 @@ void RenderNode(const PlanNode* node, int depth,
     *out << " terms=" << node->union_terms
          << (node->over_limit ? " OVER-LIMIT" : "")
          << (node->parallel_safe ? " parallel" : "");
-  }
-  if (node->kind == PlanNodeKind::kScanRange) {
-    *out << " hid=[" << node->range_lo << "," << node->range_hi << ")"
-         << (node->range_class_space ? " class" : " property");
   }
   if (node->kind == PlanNodeKind::kSharedRef) {
     *out << " -> shared[" << node->shared_index << "]";
@@ -518,9 +476,8 @@ std::string PlanVerifyResult::ToString() const {
   return out;
 }
 
-PlanVerifyResult VerifyPlan(const PhysicalPlan& plan, const TripleStore* store,
-                            const Dictionary* dict) {
-  return Verifier(plan, store, dict).Run();
+PlanVerifyResult VerifyPlan(const PhysicalPlan& plan, const Dictionary* dict) {
+  return Verifier(plan, dict).Run();
 }
 
 std::string RenderPlanWithViolations(const PhysicalPlan& plan,
@@ -545,22 +502,19 @@ std::string RenderPlanWithViolations(const PhysicalPlan& plan,
   return out.str();
 }
 
-Status VerifyPlanOrError(const PhysicalPlan& plan, const TripleStore* store,
-                         const Dictionary* dict) {
-  PlanVerifyResult result = VerifyPlan(plan, store, dict);
+Status VerifyPlanOrError(const PhysicalPlan& plan, const Dictionary* dict) {
+  PlanVerifyResult result = VerifyPlan(plan, dict);
   if (result.ok()) return Status::OK();
   return Status::Internal("plan verification failed:\n" + result.ToString() +
                           "\n" + RenderPlanWithViolations(plan, result));
 }
 
-void DebugCheckPlan(const PhysicalPlan& plan, const TripleStore* store,
-                    const char* site) {
+void DebugCheckPlan(const PhysicalPlan& plan, const char* site) {
 #ifdef NDEBUG
   (void)plan;
-  (void)store;
   (void)site;
 #else
-  PlanVerifyResult result = VerifyPlan(plan, store);
+  PlanVerifyResult result = VerifyPlan(plan);
   RDFOPT_CHECK(result.ok()) << "invalid plan out of " << site << ":\n"
                             << result.ToString() << "\n"
                             << RenderPlanWithViolations(plan, result);

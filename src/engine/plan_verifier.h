@@ -10,7 +10,6 @@
 namespace rdfopt {
 
 class Dictionary;
-class TripleStore;
 
 /// Static structural verification of PhysicalPlans (DESIGN.md §13): the
 /// "verify the plan, not the run" half of the correctness story. The
@@ -36,18 +35,14 @@ class TripleStore;
 ///                      constant bindings, a union's disjunct heads are
 ///                      covered by the matching child.
 ///   dict-domain        constants in atoms and bindings are real dictionary
-///                      ids (< store->dictionary_size(), when a store with
-///                      a sized dictionary is attached), never
+///                      ids (< dict->size(), when a dictionary is
+///                      supplied), never
 ///                      kInvalidValueId outside all-constant guard atoms.
 ///   shared-refs        every kSharedRef resolves into shared_subplans, its
 ///                      schema matches the target's, targets carry their own
 ///                      index (execute-once coordinator placement), shared
 ///                      subplans do not nest further refs, and none is left
 ///                      unreferenced.
-///   scan-range         kScanRange intervals are non-empty and sorted
-///                      (lo < hi), lie within the attached hierarchy
-///                      encoding's hid space, collapse >= 1 term, and drive
-///                      their chain.
 ///   batch-width        the plan's vector width is in [1, kBatchRows] — the
 ///                      executor's selection vectors are sized to one batch.
 ///   parallel           over-limit unions are never parallel_safe; a
@@ -80,13 +75,10 @@ struct PlanVerifyResult {
   std::string ToString() const;
 };
 
-/// Verifies `plan` against the invariant catalogue. `store` and `dict` are
-/// optional context: the store supplies the attached hierarchy encoding for
-/// the scan-range bounds, the dictionary its id domain for dict-domain
-/// agreement. Context-dependent checks are skipped without their context,
-/// never failed.
+/// Verifies `plan` against the invariant catalogue. `dict` is optional
+/// context: its id domain bounds dict-domain agreement, a check that is
+/// skipped without it, never failed.
 PlanVerifyResult VerifyPlan(const PhysicalPlan& plan,
-                            const TripleStore* store = nullptr,
                             const Dictionary* dict = nullptr);
 
 /// Structural rendering of the plan with every offending node marked
@@ -100,14 +92,12 @@ std::string RenderPlanWithViolations(const PhysicalPlan& plan,
 /// OK when the plan verifies, else kInternal carrying the violation list
 /// and the marked rendering.
 Status VerifyPlanOrError(const PhysicalPlan& plan,
-                         const TripleStore* store = nullptr,
                          const Dictionary* dict = nullptr);
 
 /// Debug-build hook (compiled out under NDEBUG): RDFOPT_CHECK-fails with
 /// the marked rendering when `plan` does not verify. `site` names the call
 /// site in the failure report ("planner", "plan-cache clone").
-void DebugCheckPlan(const PhysicalPlan& plan, const TripleStore* store,
-                    const char* site);
+void DebugCheckPlan(const PhysicalPlan& plan, const char* site);
 
 }  // namespace rdfopt
 

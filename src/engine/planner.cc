@@ -240,223 +240,6 @@ std::unique_ptr<PlanNode> Planner::BuildCqChain(
   return chain;
 }
 
-std::unique_ptr<PlanNode> Planner::BuildRangeChain(
-    const ConjunctiveQuery& cq, const CollapsedRange& range) const {
-  const CostConstants& k = profile_->cost;
-  const TripleStore* store = estimator_->store();
-  const TriplePattern& masked = cq.atoms[range.atom_index];
-
-  auto scan = MakeNode(PlanNodeKind::kScanRange);
-  scan->atom = masked;
-  scan->driving_scan = true;
-  scan->range_lo = range.lo;
-  scan->range_hi = range.hi;
-  scan->range_class_space = range.class_space;
-  scan->range_terms = range.members.size();
-  scan->out_columns = AtomColumns(masked);
-  const double range_rows = static_cast<double>(
-      range.class_space ? store->CountClassHidRange(range.lo, range.hi)
-                        : store->CountPropertyHidRange(range.lo, range.hi));
-  scan->est_rows = range_rows;
-  scan->est_cost = k.c_r * range_rows;
-
-  // Suffix estimates come from the representative disjunct's prefixes,
-  // scaled by how much wider the interval is than the representative's own
-  // scan: the group's branches are identical up to the masked constant, so
-  // the representative's join selectivities stand in for all of them.
-  const double scale =
-      range_rows / std::max(1.0, estimator_->EstimateAtom(masked));
-
-  // Constant atoms act as boolean existence guards, exactly as in
-  // BuildCqChain; the masked atom never is one here (it has the range's
-  // hid site, but guard handling is kept for the representative's other
-  // all-constant atoms).
-  std::unique_ptr<PlanNode> chain;
-  double guard_selectivity = 1.0;
-  std::vector<TriplePattern> body;
-  for (size_t a = 0; a < cq.atoms.size(); ++a) {
-    if (a == range.atom_index) continue;
-    const TriplePattern& atom = cq.atoms[a];
-    if (!IsConstantAtom(atom)) {
-      body.push_back(atom);
-      continue;
-    }
-    auto guard = MakeNode(PlanNodeKind::kAtomScan);
-    guard->atom = atom;
-    guard->est_rows = std::min(1.0, estimator_->EstimateAtom(atom));
-    guard->est_cost = k.c_t * guard->est_rows;
-    guard_selectivity *= guard->est_rows;
-    if (chain == nullptr) {
-      chain = std::move(guard);
-    } else {
-      auto both = MakeNode(PlanNodeKind::kHashJoin);
-      both->est_rows = guard_selectivity;
-      both->est_cost = chain->est_cost + guard->est_cost;
-      both->children.push_back(std::move(chain));
-      both->children.push_back(std::move(guard));
-      chain = std::move(both);
-    }
-  }
-
-  // The range scan is pinned as the driving scan: the shadow index emits
-  // (hid, subject, ...) order across the interval, which no per-subject
-  // probe order survives, so it anchors the chain and everything else joins
-  // onto it.
-  if (chain == nullptr) {
-    chain = std::move(scan);
-  } else {
-    auto guarded = MakeNode(PlanNodeKind::kHashJoin);
-    guarded->out_columns = scan->out_columns;
-    guarded->est_rows = guard_selectivity * scan->est_rows;
-    guarded->est_cost = chain->est_cost + scan->est_cost;
-    guarded->children.push_back(std::move(chain));
-    guarded->children.push_back(std::move(scan));
-    chain = std::move(guarded);
-  }
-
-  std::vector<double> cards(body.size());
-  for (size_t i = 0; i < body.size(); ++i) {
-    cards[i] = estimator_->EstimateAtom(body[i]);
-  }
-  ConjunctiveQuery prefix;
-  prefix.atoms.push_back(masked);
-  double inter = range_rows;
-  std::vector<bool> used(body.size(), false);
-  for (size_t step = 0; step < body.size(); ++step) {
-    // Greedy pick over the remaining atoms, seeded by the pinned range scan:
-    // prefer atoms sharing a variable with the chain, among equals the
-    // smallest scan (same rule as GreedyAtomOrder).
-    int best = -1;
-    bool best_connected = false;
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (used[i]) continue;
-      bool connected = false;
-      for (VarId v : AtomColumns(body[i])) {
-        connected = connected || Contains(chain->out_columns, v);
-      }
-      if (best < 0 || (connected && !best_connected) ||
-          (connected == best_connected &&
-           cards[i] < cards[static_cast<size_t>(best)])) {
-        best = static_cast<int>(i);
-        best_connected = connected;
-      }
-    }
-    used[static_cast<size_t>(best)] = true;
-    const TriplePattern& atom = body[static_cast<size_t>(best)];
-    const double scanned = cards[static_cast<size_t>(best)];
-    prefix.atoms.push_back(atom);
-    const double out = estimator_->EstimateCQ(prefix) * scale;
-    const std::vector<VarId> atom_cols = AtomColumns(atom);
-    bool binds_position = false;
-    for (VarId v : atom_cols) {
-      binds_position = binds_position || Contains(chain->out_columns, v);
-    }
-    std::vector<VarId> out_columns = JoinColumns(chain->out_columns, atom_cols);
-
-    std::unique_ptr<PlanNode> node;
-    if (binds_position && inter * 8.0 < scanned) {
-      node = MakeNode(PlanNodeKind::kIndexJoinAtom);
-      node->atom = atom;
-      node->est_cost = chain->est_cost + (k.c_t + k.c_j) * inter + k.c_j * out;
-      node->children.push_back(std::move(chain));
-    } else {
-      auto probe = MakeNode(PlanNodeKind::kAtomScan);
-      probe->atom = atom;
-      probe->out_columns = atom_cols;
-      probe->est_rows = scanned;
-      probe->est_cost = k.c_t * scanned;
-      node = MakeNode(PlanNodeKind::kHashJoin);
-      node->est_cost =
-          chain->est_cost + probe->est_cost + k.c_j * (inter + scanned);
-      node->children.push_back(std::move(chain));
-      node->children.push_back(std::move(probe));
-    }
-    node->out_columns = std::move(out_columns);
-    node->est_rows = guard_selectivity * out;
-    chain = std::move(node);
-    inter = out;
-  }
-  return chain;
-}
-
-std::unique_ptr<PlanNode> Planner::BuildCollapsedComponent(
-    const UnionQuery& ucq, const RangeCollapsePlan& rc,
-    int component_index) const {
-  const CostConstants& k = profile_->cost;
-  auto u = MakeNode(PlanNodeKind::kUnionAll);
-  u->head = ucq.head;
-  u->out_columns = ucq.head;
-  u->pre_collapse_terms = ucq.disjuncts.size();
-  const size_t post = rc.post_terms();
-  u->union_terms = post;
-  u->over_limit = post > profile_->max_union_terms;
-  u->parallel_safe = !u->over_limit;
-  if (profile_->worker_threads > 1 && !u->over_limit) {
-    const size_t tasks = 4 * profile_->worker_threads;
-    u->morsel_size = std::max<size_t>(1, post / tasks);
-  }
-
-  // Branch order: ranges and residual disjuncts interleaved by smallest
-  // source disjunct index, so the collapsed union tracks the original
-  // disjunct order deterministically.
-  struct Branch {
-    size_t first_disjunct;
-    const CollapsedRange* range;  // Null for a residual branch.
-    size_t residual_disjunct;
-  };
-  std::vector<Branch> branches;
-  branches.reserve(post);
-  for (const CollapsedRange& r : rc.ranges) {
-    branches.push_back(Branch{r.members.front(), &r, 0});
-  }
-  for (size_t d : rc.residual) {
-    branches.push_back(Branch{d, nullptr, d});
-  }
-  std::sort(branches.begin(), branches.end(),
-            [](const Branch& a, const Branch& b) {
-              return a.first_disjunct < b.first_disjunct;
-            });
-
-  const size_t planned =
-      u->over_limit ? std::min(branches.size(), kOverLimitSampleTerms)
-                    : branches.size();
-  // No union-subplan factoring across collapsed branches: the ranged scans
-  // are already the shared work, and the residual tail is small by
-  // construction.
-  double est_sum = 0.0;
-  double cost = k.c_union_term * static_cast<double>(post);
-  for (size_t b = 0; b < planned; ++b) {
-    const Branch& branch = branches[b];
-    const size_t source =
-        branch.range != nullptr ? branch.range->rep : branch.residual_disjunct;
-    std::unique_ptr<PlanNode> chain =
-        branch.range != nullptr
-            ? BuildRangeChain(ucq.disjuncts[branch.range->rep], *branch.range)
-            : BuildCqChain(ucq.disjuncts[branch.residual_disjunct]);
-    if (chain == nullptr) {
-      chain = MakeNode(PlanNodeKind::kProject);
-      chain->est_rows = 1.0;
-    }
-    est_sum += chain->est_rows;
-    cost += chain->est_cost;
-    // The representative disjunct carries the branch's projection: the
-    // collapse signature pins head variables and head bindings literally
-    // across the group, so it is exact for every member.
-    u->disjuncts.push_back(ucq.disjuncts[source]);
-    u->children.push_back(std::move(chain));
-  }
-  u->est_rows = est_sum;
-  u->est_cost = cost;
-
-  auto dedup = MakeNode(PlanNodeKind::kDedup);
-  dedup->component = component_index;
-  dedup->out_columns = ucq.head;
-  dedup->est_rows = est_sum;
-  dedup->est_cost = cost + k.c_l * est_sum;
-  dedup->children.push_back(std::move(u));
-  return dedup;
-}
-
 std::unique_ptr<PlanNode> Planner::FinishComponent(
     std::unique_ptr<PlanNode> dedup, const UnionQuery& ucq,
     std::vector<std::unique_ptr<PlanNode>>* shared_out,
@@ -486,7 +269,6 @@ std::unique_ptr<PlanNode> Planner::FinishComponent(
   view->head = u->head;
   view->out_columns = u->out_columns;
   view->union_terms = u->union_terms;
-  view->pre_collapse_terms = u->pre_collapse_terms;
   view->est_rows = u->est_rows;
   view->est_cost = u->est_cost;
   dedup->children[0] = std::move(view);
@@ -502,53 +284,9 @@ std::unique_ptr<PlanNode> Planner::BuildComponent(
   const CostConstants& k = profile_->cost;
   const size_t shared_base = shared_out != nullptr ? shared_out->size() : 0;
 
-  // Hierarchy-range collapse (DESIGN.md §12): with the feature on and an
-  // encoding attached to the store, disjunct groups identical up to one
-  // hierarchy constant whose hids form a consecutive run become single
-  // kScanRange branches. The safety valve keeps a range only when the
-  // interval scan prices below its member scans plus the union-term
-  // overhead it saves — with calibrated profiles (c_r ≈ c_t) that is
-  // essentially always, but a profile modelling an expensive range kernel
-  // can veto the rewrite per range.
-  if (profile_->hierarchy_ranges && ucq.disjuncts.size() >= 2) {
-    const HierarchyEncoding* encoding = estimator_->store()->hierarchy();
-    if (encoding != nullptr) {
-      RangeCollapsePlan rc = AnalyzeRangeCollapse(ucq, *encoding);
-      if (!rc.ranges.empty()) {
-        const TripleStore* store = estimator_->store();
-        std::vector<CollapsedRange> kept;
-        kept.reserve(rc.ranges.size());
-        for (CollapsedRange& r : rc.ranges) {
-          const double rows = static_cast<double>(
-              r.class_space ? store->CountClassHidRange(r.lo, r.hi)
-                            : store->CountPropertyHidRange(r.lo, r.hi));
-          const double union_cost =
-              k.c_t * rows +
-              k.c_union_term * static_cast<double>(r.members.size() - 1);
-          if (k.c_r * rows < union_cost) {
-            kept.push_back(std::move(r));
-          } else {
-            rc.residual.insert(rc.residual.end(), r.members.begin(),
-                               r.members.end());
-          }
-        }
-        const bool demoted = kept.size() != rc.ranges.size();
-        rc.ranges = std::move(kept);
-        if (demoted) {
-          std::sort(rc.residual.begin(), rc.residual.end());
-        }
-      }
-      if (!rc.ranges.empty()) {
-        return FinishComponent(BuildCollapsedComponent(ucq, rc, component_index),
-                               ucq, shared_out, shared_base);
-      }
-    }
-  }
-
   auto u = MakeNode(PlanNodeKind::kUnionAll);
   u->head = ucq.head;
   u->out_columns = ucq.head;
-  u->pre_collapse_terms = ucq.disjuncts.size();
   u->union_terms = ucq.disjuncts.size();
   u->over_limit = ucq.disjuncts.size() > profile_->max_union_terms;
   // Union disjuncts are independent conjunctive queries by construction, so
@@ -753,7 +491,7 @@ PhysicalPlan Planner::PlanCQ(const ConjunctiveQuery& cq) const {
   dedup->children.push_back(std::move(project));
   plan.root = std::move(dedup);
   Finalize(&plan);
-  DebugCheckPlan(plan, estimator_->store(), "planner (CQ)");
+  DebugCheckPlan(plan, "planner (CQ)");
   return plan;
 }
 
@@ -765,9 +503,7 @@ PhysicalPlan Planner::PlanUCQ(const UnionQuery& ucq) const {
   plan.root = BuildComponent(ucq, /*component_index=*/0,
                              &plan.shared_subplans);
   // Term count and feasibility are read off the built union (the dedup
-  // root's child): with hierarchy-range collapse they are post-collapse
-  // values — a reformulation whose collapsed form fits the plan limit is
-  // feasible even when its raw disjunct count is not.
+  // root's child).
   const PlanNode* u = plan.root->children[0].get();
   plan.union_terms = u->union_terms;
   if (u->over_limit) {
@@ -775,7 +511,7 @@ PhysicalPlan Planner::PlanUCQ(const UnionQuery& ucq) const {
         UnionLimitMessage(u->union_terms, *profile_));
   }
   Finalize(&plan);
-  DebugCheckPlan(plan, estimator_->store(), "planner (UCQ)");
+  DebugCheckPlan(plan, "planner (UCQ)");
   return plan;
 }
 
@@ -794,8 +530,7 @@ PhysicalPlan Planner::PlanJUCQ(const JoinOfUnions& jucq) const {
     const UnionQuery& component = jucq.components[c];
     std::unique_ptr<PlanNode> root = BuildComponent(
         component, static_cast<int>(c), &plan.shared_subplans);
-    // Post-collapse term count and feasibility, read off the built union
-    // (see PlanUCQ).
+    // Term count and feasibility, read off the built union (see PlanUCQ).
     const PlanNode* u = root->children[0].get();
     plan.union_terms += u->union_terms;
     if (u->over_limit && plan.feasibility.ok()) {
@@ -862,7 +597,7 @@ PhysicalPlan Planner::PlanJUCQ(const JoinOfUnions& jucq) const {
   dedup->children.push_back(std::move(project));
   plan.root = std::move(dedup);
   Finalize(&plan);
-  DebugCheckPlan(plan, estimator_->store(), "planner (JUCQ)");
+  DebugCheckPlan(plan, "planner (JUCQ)");
   return plan;
 }
 

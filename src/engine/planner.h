@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cost/cardinality.h"
-#include "cost/range_collapse.h"
 #include "engine/engine_profile.h"
 #include "engine/plan.h"
 #include "engine/view_resolver.h"
@@ -112,25 +111,9 @@ class Planner {
   /// With profile().vector_width > 1, atom scans appearing in two or
   /// more disjunct chains are factored into execute-once subplans appended
   /// to `shared_out` (the plan's shared_subplans vector); null disables.
-  /// With profile().hierarchy_ranges and a store-attached HierarchyEncoding,
-  /// a range-collapse pass (cost/range_collapse.h) runs first: collapsible
-  /// disjunct groups become single kScanRange-driven branches and the
-  /// union's term count, over-limit flag and morsels are computed
-  /// post-collapse — callers read them off the built union node.
   std::unique_ptr<PlanNode> BuildComponent(
       const UnionQuery& ucq, int component_index,
       std::vector<std::unique_ptr<PlanNode>>* shared_out) const;
-  /// Union of kScanRange branches (one per collapsed range) and ordinary
-  /// residual chains, ordered by smallest source disjunct.
-  std::unique_ptr<PlanNode> BuildCollapsedComponent(
-      const UnionQuery& ucq, const RangeCollapsePlan& rc,
-      int component_index) const;
-  /// Join chain of the representative disjunct with the masked atom pinned
-  /// as a kScanRange driving scan over the range's hid interval (the shadow
-  /// index has no per-subject order across hids, so the ranged atom is
-  /// never index-probed).
-  std::unique_ptr<PlanNode> BuildRangeChain(const ConjunctiveQuery& cq,
-                                            const CollapsedRange& range) const;
   /// View-catalog tail of BuildComponent: announces the component to the
   /// resolver and, on a catalog hit, swaps the dedup root's union subtree
   /// for a kViewScan carrying the subtree's own estimates. `shared_base` is

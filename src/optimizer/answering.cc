@@ -103,17 +103,10 @@ CachingCoverCostOracle::GetFragment(const std::vector<int>& fragment) {
         fragment_cq, &scratch_vars_, effective_disjunct_cap_);
     if (ucq.ok()) {
       entry.ucq = ucq.TakeValue();
-      // With hierarchy ranges on, fragments are priced (and declared
-      // feasible) on their post-collapse term counts — the terms the engine
-      // will actually run (cost_model.h, the hierarchy-aware overload).
-      const HierarchyEncoding* encoding =
-          evaluator_->profile().hierarchy_ranges
-              ? estimator_->store()->hierarchy()
-              : nullptr;
       entry.inputs =
           options_.literal_scan_sums
               ? ComputeUcqCostInputsLiteral(entry.ucq, *estimator_)
-              : ComputeUcqCostInputs(entry.ucq, *estimator_, encoding);
+              : ComputeUcqCostInputs(entry.ucq, *estimator_);
       entry.feasible = true;
       if (options_.use_engine_cost_model) {
         // Plan the fragment's component once; its cost and result estimate
@@ -316,7 +309,7 @@ Result<AnswerOutcome> QueryAnswerer::AnswerByCover(
   // Release-mode plan verification gate (debug builds verify inside the
   // planner itself): refuse to execute a structurally invalid plan.
   if (oracle->options().verify_plans) {
-    RDFOPT_RETURN_NOT_OK(VerifyPlanOrError(plan, &evaluator_.store()));
+    RDFOPT_RETURN_NOT_OK(VerifyPlanOrError(plan));
   }
 
   {

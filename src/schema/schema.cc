@@ -156,32 +156,6 @@ std::vector<ValueId> Schema::LookupSet(const ClosureMap& map, ValueId node) {
   return {};
 }
 
-std::vector<ValueId> Schema::DirectEdges(const AdjacencyMap& map,
-                                         ValueId node) {
-  auto it = map.find(node);
-  if (it == map.end()) return {};
-  std::vector<ValueId> out = it->second;
-  SortUnique(&out);
-  out.erase(std::remove(out.begin(), out.end(), node), out.end());
-  return out;
-}
-
-std::vector<ValueId> Schema::DirectSubClassesOf(ValueId cls) const {
-  return DirectEdges(super_class_, cls);
-}
-
-std::vector<ValueId> Schema::DirectSuperClassesOf(ValueId cls) const {
-  return DirectEdges(sub_class_, cls);
-}
-
-std::vector<ValueId> Schema::DirectSubPropertiesOf(ValueId property) const {
-  return DirectEdges(super_prop_, property);
-}
-
-std::vector<ValueId> Schema::DirectSuperPropertiesOf(ValueId property) const {
-  return DirectEdges(sub_prop_, property);
-}
-
 std::vector<ValueId> Schema::SubClassesOf(ValueId cls) const {
   CheckFinalized();
   return LookupClosure(sub_classes_closure_, cls);

@@ -62,15 +62,6 @@ class Schema {
   std::vector<ValueId> EntailedDomainClasses(ValueId property) const;
   std::vector<ValueId> EntailedRangeClasses(ValueId property) const;
 
-  /// Direct (declared, one-step) subsumption edges, sorted, deduplicated and
-  /// with self-loops removed. Unlike the closures above these do not include
-  /// the node itself. The hierarchy encoder (rdf/hierarchy_encoding.h) walks
-  /// these to lay out its DFS-preorder id space.
-  std::vector<ValueId> DirectSubClassesOf(ValueId cls) const;
-  std::vector<ValueId> DirectSuperClassesOf(ValueId cls) const;
-  std::vector<ValueId> DirectSubPropertiesOf(ValueId property) const;
-  std::vector<ValueId> DirectSuperPropertiesOf(ValueId property) const;
-
   /// Inverse maps, the backbone of the type-atom reformulation rules:
   /// properties p such that `s p o` entails `s rdf:type cls` (resp.
   /// `o rdf:type cls`).
@@ -102,9 +93,6 @@ class Schema {
   static std::vector<ValueId> LookupClosure(const ClosureMap& closure,
                                             ValueId node);
   static std::vector<ValueId> LookupSet(const ClosureMap& map, ValueId node);
-  // Sorted-unique direct edges of `node` with self-loops dropped.
-  static std::vector<ValueId> DirectEdges(const AdjacencyMap& map,
-                                          ValueId node);
 
   void CheckFinalized() const;
 

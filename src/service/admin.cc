@@ -34,10 +34,6 @@ bool ParseWhole(std::string_view text, T* out) {
   return ec == std::errc() && ptr == end;
 }
 
-bool ParseCount(std::string_view text, size_t* out) {
-  return ParseWhole(text, out) && *out > 0;
-}
-
 Status Malformed(std::string_view usage) {
   return Status::InvalidArgument("usage: " + std::string(usage));
 }
@@ -117,9 +113,7 @@ Result<AdminReply> RunSlowlog(QueryService* service, const Args& args) {
   }
   if (args.size() == 2 && args[0] == "ms") {
     double ms = 0.0;
-    if (!ParseWhole(args[1], &ms) || !std::isfinite(ms) || ms < 0.0) {
-      return Malformed(kUsage);
-    }
+    if (!ParseMs(args[1], &ms)) return Malformed(kUsage);
     log->set_threshold_ms(ms);
     return Ack("threshold_ms", ms);
   }
@@ -209,6 +203,14 @@ Result<std::string> LoadDataset(const std::vector<std::string>& args,
   data << in.rdbuf();
   RDFOPT_RETURN_NOT_OK(ParseNTriples(data.str(), graph));
   return std::string();
+}
+
+bool ParseCount(std::string_view text, size_t* out) {
+  return ParseWhole(text, out) && *out > 0;
+}
+
+bool ParseMs(std::string_view text, double* out) {
+  return ParseWhole(text, out) && std::isfinite(*out) && *out >= 0.0;
 }
 
 std::string WithPreamble(std::string_view preamble, std::string_view text) {

@@ -43,6 +43,13 @@ Result<AdminReply> RunAdminCommand(QueryService* service,
 Result<std::string> LoadDataset(const std::vector<std::string>& args,
                                 size_t* next, Graph* graph);
 
+/// Whole-string parsers for numbers from outside the program (command
+/// arguments, flags): no sign, blanks or trailing characters. ParseCount
+/// accepts a positive integer, ParseMs a finite, non-negative number of
+/// milliseconds. On failure they return false and `*out` is unspecified.
+bool ParseCount(std::string_view text, size_t* out);
+bool ParseMs(std::string_view text, double* out);
+
 /// `text` with `preamble` prepended, unless the text declares prefixes.
 std::string WithPreamble(std::string_view preamble, std::string_view text);
 

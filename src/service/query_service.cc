@@ -122,14 +122,6 @@ std::shared_ptr<const QueryService::Snapshot>
 QueryService::BuildSnapshotLocked(Epoch epoch) const {
   Schema schema = ReplaySchemaLocked();
   TripleStore data = TripleStore::Build(graph_->data_triples());
-  if (profile_.hierarchy_ranges) {
-    // Epoch re-encode protocol (DESIGN.md §12): every snapshot carries its
-    // own hierarchy encoding, rebuilt from the epoch's schema. In-flight
-    // queries pin their snapshot and keep planning/scanning against the old
-    // hid assignment; new requests see the new one.
-    data.AttachHierarchy(std::make_shared<const HierarchyEncoding>(
-        HierarchyEncoding::Build(schema, graph_->vocab().rdf_type)));
-  }
   TripleStore saturated = Saturate(data, schema, graph_->vocab()).store;
   Statistics stats = Statistics::Compute(data);
   return std::make_shared<Snapshot>(epoch, std::move(data),
@@ -171,11 +163,6 @@ Status QueryService::ApplyUpdate(const std::vector<Triple>& additions) {
   std::shared_ptr<const Snapshot> current = CurrentSnapshot();
   TripleStore data =
       TripleStore::Merge(current->data, TripleStore::Build(data_delta));
-  if (current->data.hierarchy_ptr() != nullptr) {
-    // Schema unchanged, so the hid assignment carries over; only the shadow
-    // index is rebuilt over the merged triples.
-    data.AttachHierarchy(current->data.hierarchy_ptr());
-  }
   TripleStore saturated =
       IncrementalSaturate(current->saturated, data_delta, current->schema,
                           graph_->vocab())
@@ -399,7 +386,7 @@ Result<ServiceOutcome> QueryService::AnswerOnSnapshot(
     // Clone is the other producer of executable plans (besides the planner);
     // a Clone bug would corrupt every hit of the entry, so it gets the same
     // debug-build structural verification as freshly planned trees.
-    DebugCheckPlan(plan, &snapshot->data, "plan-cache clone");
+    DebugCheckPlan(plan, "plan-cache clone");
     Evaluator evaluator(&snapshot->data, &request_profile,
                         &snapshot->estimator);
     // Cache hits keep feeding the feedback loop: their actuals refresh the

@@ -3,6 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -12,14 +14,32 @@ namespace rdfopt {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'D', 'F', 'O'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 
-void WriteU32(std::ostream& out, uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+constexpr std::array<uint32_t, 256> MakeCrcTable() {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  return table;
 }
-void WriteU64(std::ostream& out, uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
+constexpr std::array<uint32_t, 256> kCrcTable = MakeCrcTable();
+
+/// Writes through to the file and keeps the CRC of every byte written.
+struct SnapshotWriter {
+  std::ofstream& out;
+  uint32_t crc = 0;
+
+  void Bytes(const char* data, size_t size) {
+    out.write(data, static_cast<std::streamsize>(size));
+    crc = Crc32(std::string_view(data, size), crc);
+  }
+  void U32(uint32_t v) { Bytes(reinterpret_cast<const char*>(&v), sizeof(v)); }
+  void U64(uint64_t v) { Bytes(reinterpret_cast<const char*>(&v), sizeof(v)); }
+};
+
 bool ReadU32(std::istream& in, uint32_t* v) {
   in.read(reinterpret_cast<char*>(v), sizeof(*v));
   return in.good();
@@ -35,13 +55,29 @@ uint64_t BytesLeft(std::istream& in, uint64_t file_size) {
   return pos < 0 ? 0 : file_size - static_cast<uint64_t>(pos);
 }
 
-void WriteTriples(std::ostream& out, const std::vector<Triple>& triples) {
-  WriteU64(out, triples.size());
+void WriteTriples(SnapshotWriter& out, const std::vector<Triple>& triples) {
+  out.U64(triples.size());
   for (const Triple& t : triples) {
-    WriteU32(out, t.s);
-    WriteU32(out, t.p);
-    WriteU32(out, t.o);
+    out.U32(t.s);
+    out.U32(t.p);
+    out.U32(t.o);
   }
+}
+
+/// CRC of the first `size` bytes of the file behind `in`.
+bool CrcOfPrefix(std::istream& in, uint64_t size, uint32_t* crc) {
+  in.seekg(0);
+  std::array<char, 1 << 16> buffer;
+  *crc = 0;
+  while (size > 0) {
+    const size_t chunk =
+        static_cast<size_t>(std::min<uint64_t>(size, buffer.size()));
+    in.read(buffer.data(), static_cast<std::streamsize>(chunk));
+    if (!in.good()) return false;
+    *crc = Crc32(std::string_view(buffer.data(), chunk), *crc);
+    size -= chunk;
+  }
+  return true;
 }
 
 Status ReadTriples(std::istream& in, uint64_t file_size, size_t num_terms,
@@ -73,6 +109,12 @@ Status ReadTriples(std::istream& in, uint64_t file_size, size_t num_terms,
 
 }  // namespace
 
+uint32_t Crc32(std::string_view bytes, uint32_t crc) {
+  crc = ~crc;
+  for (unsigned char b : bytes) crc = kCrcTable[(crc ^ b) & 0xff] ^ (crc >> 8);
+  return ~crc;
+}
+
 Status SaveGraphSnapshot(const Graph& graph, const std::string& path) {
   // Write a sibling file and rename it over `path` once it is durable, so a
   // crash or a failed write never leaves `path` half-written.
@@ -81,20 +123,23 @@ Status SaveGraphSnapshot(const Graph& graph, const std::string& path) {
   if (!out) {
     return Status::InvalidArgument("cannot open " + tmp + " for writing");
   }
-  out.write(kMagic, sizeof(kMagic));
-  WriteU32(out, kVersion);
+  SnapshotWriter writer{out};
+  writer.Bytes(kMagic, sizeof(kMagic));
+  writer.U32(kVersion);
 
   const Dictionary& dict = graph.dict();
-  WriteU64(out, dict.size());
+  writer.U64(dict.size());
   for (ValueId id = 0; id < dict.size(); ++id) {
     const Term& term = dict.term(id);
-    out.put(static_cast<char>(term.kind));
-    WriteU32(out, static_cast<uint32_t>(term.lexical.size()));
-    out.write(term.lexical.data(),
-              static_cast<std::streamsize>(term.lexical.size()));
+    const char kind = static_cast<char>(term.kind);
+    writer.Bytes(&kind, 1);
+    writer.U32(static_cast<uint32_t>(term.lexical.size()));
+    writer.Bytes(term.lexical.data(), term.lexical.size());
   }
-  WriteTriples(out, graph.schema_triples());
-  WriteTriples(out, graph.data_triples());
+  WriteTriples(writer, graph.schema_triples());
+  WriteTriples(writer, graph.data_triples());
+  const uint32_t crc = writer.crc;
+  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
   out.close();
   const int fd = out ? ::open(tmp.c_str(), O_RDONLY) : -1;
   const bool synced = fd >= 0 && ::fsync(fd) == 0;
@@ -160,6 +205,20 @@ Result<Graph> LoadGraphSnapshot(const std::string& path) {
   std::vector<Triple> data_triples;
   RDFOPT_RETURN_NOT_OK(ReadTriples(in, file_size, num_terms, "data triples",
                                    &data_triples));
+  // The trailer is checked after the bounded parse: every count and length
+  // above was already validated against the file size.
+  uint32_t stored_crc = 0;
+  if (!ReadU32(in, &stored_crc)) {
+    return Status::ParseError("snapshot truncated before the checksum");
+  }
+  if (BytesLeft(in, file_size) != 0) {
+    return Status::ParseError("snapshot has bytes after the checksum");
+  }
+  uint32_t crc = 0;
+  if (!CrcOfPrefix(in, file_size - sizeof(stored_crc), &crc) ||
+      crc != stored_crc) {
+    return Status::ParseError("snapshot checksum mismatch");
+  }
   for (const Triple& t : schema_triples) graph.AddEncoded(t.s, t.p, t.o);
   for (const Triple& t : data_triples) graph.AddEncoded(t.s, t.p, t.o);
   graph.FinalizeSchema();

@@ -104,60 +104,6 @@ std::span<const Triple> TripleStore::Match(ValueId s, ValueId p,
   return {spo_.data(), spo_.size()};
 }
 
-void TripleStore::AttachHierarchy(
-    std::shared_ptr<const HierarchyEncoding> encoding) {
-  hierarchy_ = std::move(encoding);
-  type_by_hid_.clear();
-  prop_by_hid_.clear();
-
-  const size_t num_classes = hierarchy_->num_class_hids();
-  class_hid_offsets_.assign(num_classes + 1, 0);
-  const ValueId rdf_type = hierarchy_->rdf_type();
-  if (rdf_type != kAnyValue) {
-    for (uint32_t h = 0; h < num_classes; ++h) {
-      class_hid_offsets_[h] = type_by_hid_.size();
-      // POS prefix on (rdf_type, class): subject-sorted within the hid.
-      std::span<const Triple> range =
-          Match(kAnyValue, rdf_type, hierarchy_->ClassOfHid(h));
-      type_by_hid_.insert(type_by_hid_.end(), range.begin(), range.end());
-    }
-  }
-  class_hid_offsets_[num_classes] = type_by_hid_.size();
-
-  const size_t num_props = hierarchy_->num_property_hids();
-  prop_hid_offsets_.assign(num_props + 1, 0);
-  for (uint32_t h = 0; h < num_props; ++h) {
-    prop_hid_offsets_[h] = prop_by_hid_.size();
-    // PSO prefix on the property: (s,o)-sorted within the hid.
-    std::span<const Triple> range =
-        Match(kAnyValue, hierarchy_->PropertyOfHid(h), kAnyValue);
-    prop_by_hid_.insert(prop_by_hid_.end(), range.begin(), range.end());
-  }
-  prop_hid_offsets_[num_props] = prop_by_hid_.size();
-}
-
-std::span<const Triple> TripleStore::MatchClassHidRange(uint32_t lo,
-                                                        uint32_t hi) const {
-  if (!hierarchy_ || class_hid_offsets_.empty()) return {};
-  const uint32_t cap = static_cast<uint32_t>(class_hid_offsets_.size() - 1);
-  lo = std::min(lo, cap);
-  hi = std::min(hi, cap);
-  if (lo >= hi) return {};
-  return {type_by_hid_.data() + class_hid_offsets_[lo],
-          class_hid_offsets_[hi] - class_hid_offsets_[lo]};
-}
-
-std::span<const Triple> TripleStore::MatchPropertyHidRange(uint32_t lo,
-                                                           uint32_t hi) const {
-  if (!hierarchy_ || prop_hid_offsets_.empty()) return {};
-  const uint32_t cap = static_cast<uint32_t>(prop_hid_offsets_.size() - 1);
-  lo = std::min(lo, cap);
-  hi = std::min(hi, cap);
-  if (lo >= hi) return {};
-  return {prop_by_hid_.data() + prop_hid_offsets_[lo],
-          prop_hid_offsets_[hi] - prop_hid_offsets_[lo]};
-}
-
 size_t TripleStore::CountDistinctSubjectsOfProperty(ValueId p) const {
   std::span<const Triple> range = Match(kAnyValue, p, kAnyValue);  // PSO order
   size_t count = 0;

@@ -1,11 +1,9 @@
 #ifndef RDFOPT_STORAGE_TRIPLE_STORE_H_
 #define RDFOPT_STORAGE_TRIPLE_STORE_H_
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "rdf/hierarchy_encoding.h"
 #include "rdf/triple.h"
 
 namespace rdfopt {
@@ -70,39 +68,6 @@ class TripleStore {
   /// avoided by precomputing at Build time.
   const std::vector<ValueId>& properties() const { return properties_; }
 
-  /// Attaches a hierarchy encoding (rdf/hierarchy_encoding.h) and builds the
-  /// hid-ordered shadow indexes that back the engine's ScanRange operator:
-  /// type triples concatenated by class hid (subject-sorted within each hid)
-  /// and all triples concatenated by property hid (in per-property PSO
-  /// order). Costs one extra copy of the type triples plus one of the
-  /// schema-property triples (~2x memory, DESIGN.md §12). Must be called
-  /// before the store is shared — the snapshot machinery attaches right
-  /// after Build/Merge, so the store stays logically immutable.
-  void AttachHierarchy(std::shared_ptr<const HierarchyEncoding> encoding);
-
-  /// The attached encoding, or nullptr. ScanRange planning keys off this.
-  const HierarchyEncoding* hierarchy() const { return hierarchy_.get(); }
-  std::shared_ptr<const HierarchyEncoding> hierarchy_ptr() const {
-    return hierarchy_;
-  }
-
-  /// All `s rdf:type C` triples over classes C with hid in [lo, hi),
-  /// ordered by (hid, subject). O(1): a contiguous slice of the shadow
-  /// index. Empty when no encoding is attached.
-  std::span<const Triple> MatchClassHidRange(uint32_t lo, uint32_t hi) const;
-
-  /// All `s p o` triples over properties p with hid in [lo, hi), ordered by
-  /// (hid, subject, object). O(1). Empty when no encoding is attached.
-  std::span<const Triple> MatchPropertyHidRange(uint32_t lo,
-                                                uint32_t hi) const;
-
-  size_t CountClassHidRange(uint32_t lo, uint32_t hi) const {
-    return MatchClassHidRange(lo, hi).size();
-  }
-  size_t CountPropertyHidRange(uint32_t lo, uint32_t hi) const {
-    return MatchPropertyHidRange(lo, hi).size();
-  }
-
  private:
   template <typename Order>
   std::span<const Triple> PrefixRange(const std::vector<Triple>& index,
@@ -113,14 +78,6 @@ class TripleStore {
   std::vector<Triple> pos_;
   std::vector<Triple> osp_;
   std::vector<ValueId> properties_;
-
-  // Hierarchy shadow indexes (AttachHierarchy). Offsets have one entry per
-  // hid plus a terminator, so any hid range is a single subtraction.
-  std::shared_ptr<const HierarchyEncoding> hierarchy_;
-  std::vector<Triple> type_by_hid_;
-  std::vector<size_t> class_hid_offsets_;
-  std::vector<Triple> prop_by_hid_;
-  std::vector<size_t> prop_hid_offsets_;
 };
 
 }  // namespace rdfopt

@@ -44,8 +44,9 @@ struct LubmOptions {
   /// FullProfessor / AssociateProfessor / AssistantProfessor, and every
   /// professor of those ranks is typed at one of its rank's specialty
   /// leaves instead of at the rank. A query over ub:Professor then
-  /// reformulates into hundreds of type disjuncts — the deep-hierarchy
-  /// regime the hierarchy-range collapse (DESIGN.md §12) targets. 0 (the
+  /// reformulates into hundreds of type disjuncts, the wide-union shape
+  /// the view benchmarks (bench_service's shared-fragment mode,
+  /// BM_ExecuteViewScanJucq) and view_differential_test exercise. 0 (the
   /// default) leaves the generated dataset bit-identical to earlier
   /// versions.
   size_t fine_grained_specializations = 0;

@@ -1,8 +1,8 @@
 // Static plan verification (engine/plan_verifier.h): every plan the
-// planner builds — CQ chains, reformulation unions, shared-subplan and
-// hierarchy-range variants, over-limit plans, full JUCQ covers — must
-// verify clean; and a corruption matrix of targeted mutations over those
-// same plans must each be rejected under the expected invariant rule.
+// planner builds — CQ chains, reformulation unions, shared-subplan variants,
+// over-limit plans, full JUCQ covers — must verify clean; and a corruption
+// matrix of targeted mutations over those same plans must each be rejected
+// under the expected invariant rule.
 
 #include "engine/plan_verifier.h"
 
@@ -17,7 +17,6 @@
 
 #include "common/check.h"
 #include "engine/evaluator.h"
-#include "rdf/hierarchy_encoding.h"
 #include "optimizer/answering.h"
 #include "rdf/graph.h"
 #include "reasoner/saturation.h"
@@ -31,8 +30,7 @@ namespace rdfopt {
 namespace {
 
 /// Fine-grained LUBM (48 specialty leaf classes): reformulations fan out to
-/// ~50-term unions, and the attached hierarchy encoding lets the
-/// hierarchy-range profile collapse them into ScanRange intervals.
+/// ~50-term unions.
 struct Workload {
   Graph graph;
   TripleStore store;
@@ -46,8 +44,6 @@ struct Workload {
     GenerateLubm(options, &graph);
     graph.FinalizeSchema();
     store = TripleStore::Build(graph.data_triples());
-    store.AttachHierarchy(std::make_shared<const HierarchyEncoding>(
-        HierarchyEncoding::Build(graph.schema(), graph.vocab().rdf_type)));
     sat = Saturate(store, graph.schema(), graph.vocab());
     stats = Statistics::Compute(store);
   }
@@ -69,11 +65,7 @@ EngineProfile Fast() {
   return p;
 }
 
-EngineProfile FastVector(bool hierarchy_ranges = false) {
-  EngineProfile p = Vectorized(Fast());
-  p.hierarchy_ranges = hierarchy_ranges;
-  return p;
-}
+EngineProfile FastVector() { return Vectorized(Fast()); }
 
 PlanNode* FindKind(PlanNode* node, PlanNodeKind kind) {
   if (node == nullptr) return nullptr;
@@ -142,8 +134,7 @@ class PlanVerifierTest : public ::testing::Test {
     EXPECT_GT(ucq.size(), 10u);
     Evaluator engine(&Lubm().store, &profile);
     PhysicalPlan plan = engine.planner().PlanUCQ(ucq);
-    PlanVerifyResult clean = VerifyPlan(plan, &Lubm().store,
-                                        &Lubm().graph.dict());
+    PlanVerifyResult clean = VerifyPlan(plan, &Lubm().graph.dict());
     EXPECT_TRUE(clean.ok()) << clean.ToString();
     return plan;
   }
@@ -159,8 +150,7 @@ class PlanVerifierTest : public ::testing::Test {
     Evaluator engine(&Lubm().store, &profile);
     PhysicalPlan plan = engine.planner().PlanUCQ(ucq);
     EXPECT_FALSE(plan.shared_subplans.empty());
-    PlanVerifyResult clean = VerifyPlan(plan, &Lubm().store,
-                                        &Lubm().graph.dict());
+    PlanVerifyResult clean = VerifyPlan(plan, &Lubm().graph.dict());
     EXPECT_TRUE(clean.ok()) << clean.ToString();
     return plan;
   }
@@ -181,8 +171,7 @@ class PlanVerifierTest : public ::testing::Test {
     PhysicalPlan plan = engine.planner().PlanUCQ(ucq);
     EXPECT_NE(FindKind(&plan, PlanNodeKind::kViewScan), nullptr)
         << "second plan of the same UCQ did not substitute the view";
-    PlanVerifyResult clean =
-        VerifyPlan(plan, &Lubm().store, &Lubm().graph.dict());
+    PlanVerifyResult clean = VerifyPlan(plan, &Lubm().graph.dict());
     EXPECT_TRUE(clean.ok()) << clean.ToString();
     return plan;
   }
@@ -191,8 +180,7 @@ class PlanVerifierTest : public ::testing::Test {
   /// `rule`; returns the result for further inspection.
   PlanVerifyResult ExpectRejected(const PhysicalPlan& plan,
                                   const std::string& rule) {
-    PlanVerifyResult result =
-        VerifyPlan(plan, &Lubm().store, &Lubm().graph.dict());
+    PlanVerifyResult result = VerifyPlan(plan, &Lubm().graph.dict());
     EXPECT_FALSE(result.ok())
         << "corrupted plan passed verification (expected rule '" << rule
         << "')";
@@ -209,23 +197,20 @@ class PlanVerifierTest : public ::testing::Test {
 TEST_F(PlanVerifierTest, PlannerPlansVerifyCleanAcrossProfiles) {
   const EngineProfile plain = Fast();
   const EngineProfile vector = FastVector();
-  const EngineProfile ranges = FastVector(/*hierarchy_ranges=*/true);
   // Single-atom small and large fan-out, plus the multi-atom motivating
-  // query; plain, batch+shared, and hierarchy-range engines.
+  // query; plain and batch+shared engines.
   for (size_t qi : {size_t{0}, size_t{1}, size_t{6}}) {
     Query q = MustParse(LubmQuerySet()[qi].text);
     UnionQuery ucq = Reformulate(&q);
-    for (const EngineProfile* profile : {&plain, &vector, &ranges}) {
+    for (const EngineProfile* profile : {&plain, &vector}) {
       Evaluator engine(&Lubm().store, profile);
       PhysicalPlan cq_plan = engine.planner().PlanCQ(q.cq);
-      PlanVerifyResult cq_result =
-          VerifyPlan(cq_plan, &Lubm().store, &Lubm().graph.dict());
+      PlanVerifyResult cq_result = VerifyPlan(cq_plan, &Lubm().graph.dict());
       EXPECT_TRUE(cq_result.ok())
           << LubmQuerySet()[qi].name << " CQ / " << profile->name << ":\n"
           << cq_result.ToString();
       PhysicalPlan ucq_plan = engine.planner().PlanUCQ(ucq);
-      PlanVerifyResult ucq_result =
-          VerifyPlan(ucq_plan, &Lubm().store, &Lubm().graph.dict());
+      PlanVerifyResult ucq_result = VerifyPlan(ucq_plan, &Lubm().graph.dict());
       EXPECT_TRUE(ucq_result.ok())
           << LubmQuerySet()[qi].name << " UCQ / " << profile->name << ":\n"
           << ucq_result.ToString();
@@ -240,12 +225,6 @@ TEST_F(PlanVerifierTest, SharedSubplanPlansVerifyClean) {
   ASSERT_NE(FindKind(&plan, PlanNodeKind::kSharedRef), nullptr);
 }
 
-TEST_F(PlanVerifierTest, ScanRangePlansVerifyClean) {
-  PhysicalPlan plan = ProfessorUcqPlan(FastVector(/*hierarchy_ranges=*/true));
-  ASSERT_NE(FindKind(&plan, PlanNodeKind::kScanRange), nullptr)
-      << "hierarchy profile built no ScanRange node; collapse regressed?";
-}
-
 TEST_F(PlanVerifierTest, OverLimitPlansVerifyClean) {
   EngineProfile tight = Fast();
   tight.max_union_terms = 4;
@@ -255,8 +234,7 @@ TEST_F(PlanVerifierTest, OverLimitPlansVerifyClean) {
   Evaluator engine(&Lubm().store, &tight);
   PhysicalPlan plan = engine.planner().PlanUCQ(ucq);
   ASSERT_FALSE(plan.feasibility.ok());
-  PlanVerifyResult result =
-      VerifyPlan(plan, &Lubm().store, &Lubm().graph.dict());
+  PlanVerifyResult result = VerifyPlan(plan, &Lubm().graph.dict());
   EXPECT_TRUE(result.ok()) << result.ToString();
 }
 
@@ -273,7 +251,7 @@ TEST_F(PlanVerifierTest, GcovJucqPlanVerifiesCleanAndGatePasses) {
   Result<AnswerOutcome> outcome = answerer.Answer(q, options);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ASSERT_TRUE(outcome.ValueOrDie().plan.has_value());
-  PlanVerifyResult result = VerifyPlan(*outcome.ValueOrDie().plan, &w.store,
+  PlanVerifyResult result = VerifyPlan(*outcome.ValueOrDie().plan,
                                        &w.graph.dict());
   EXPECT_TRUE(result.ok()) << result.ToString();
 }
@@ -320,30 +298,6 @@ TEST_F(PlanVerifierTest, RejectsSharedRefSchemaMismatch) {
   EXPECT_NE(result.ToString().find("shared target schema"),
             std::string::npos)
       << result.ToString();
-}
-
-TEST_F(PlanVerifierTest, RejectsInvertedHidRange) {
-  PhysicalPlan plan = ProfessorUcqPlan(FastVector(/*hierarchy_ranges=*/true));
-  PlanNode* range = FindKind(&plan, PlanNodeKind::kScanRange);
-  ASSERT_NE(range, nullptr);
-  std::swap(range->range_lo, range->range_hi);
-  ExpectRejected(plan, "scan-range");
-}
-
-TEST_F(PlanVerifierTest, RejectsHidRangeBeyondTheEncoding) {
-  PhysicalPlan plan = ProfessorUcqPlan(FastVector(/*hierarchy_ranges=*/true));
-  PlanNode* range = FindKind(&plan, PlanNodeKind::kScanRange);
-  ASSERT_NE(range, nullptr);
-  range->range_hi = 1u << 30;  // Far past the hid space.
-  ExpectRejected(plan, "scan-range");
-}
-
-TEST_F(PlanVerifierTest, RejectsNonDrivingScanRange) {
-  PhysicalPlan plan = ProfessorUcqPlan(FastVector(/*hierarchy_ranges=*/true));
-  PlanNode* range = FindKind(&plan, PlanNodeKind::kScanRange);
-  ASSERT_NE(range, nullptr);
-  range->driving_scan = false;
-  ExpectRejected(plan, "scan-range");
 }
 
 TEST_F(PlanVerifierTest, RejectsUnboundProjectionHead) {
@@ -510,8 +464,7 @@ TEST_F(PlanVerifierTest, RenderingMarksTheOffendingNode) {
   PlanNode* ref = FindKind(&plan, PlanNodeKind::kSharedRef);
   ASSERT_NE(ref, nullptr);
   ref->shared_index = 999;
-  PlanVerifyResult result =
-      VerifyPlan(plan, &Lubm().store, &Lubm().graph.dict());
+  PlanVerifyResult result = VerifyPlan(plan, &Lubm().graph.dict());
   ASSERT_FALSE(result.ok());
   const std::string rendering = RenderPlanWithViolations(plan, result);
   EXPECT_NE(rendering.find("<-- VIOLATION [shared-refs]"), std::string::npos)
@@ -522,7 +475,7 @@ TEST_F(PlanVerifierTest, RenderingMarksTheOffendingNode) {
 TEST_F(PlanVerifierTest, VerifyPlanOrErrorCarriesTheDiagnosis) {
   PhysicalPlan plan = ProfessorUcqPlan(Fast());
   plan.vector_width = kBatchRows * 4;
-  Status st = VerifyPlanOrError(plan, &Lubm().store, &Lubm().graph.dict());
+  Status st = VerifyPlanOrError(plan, &Lubm().graph.dict());
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
   EXPECT_NE(st.message().find("plan verification failed"), std::string::npos)
@@ -537,7 +490,7 @@ TEST_F(PlanVerifierTest, VerifyPlansOptionRefusesCorruptPlansInRelease) {
   // AnswerByCover makes under AnswerOptions::verify_plans).
   PhysicalPlan plan = ProfessorUcqPlan(Fast());
   plan.root->children.clear();
-  Status st = VerifyPlanOrError(plan, &Lubm().store);
+  Status st = VerifyPlanOrError(plan);
   EXPECT_FALSE(st.ok());
 }
 
@@ -554,11 +507,11 @@ TEST_F(PlanVerifierTest, DebugCheckPlanFiresOnlyInDebugBuilds) {
 #ifdef NDEBUG
   // Compiled out: corrupt plans pass silently (the Release gate is
   // AnswerOptions::verify_plans).
-  DebugCheckPlan(plan, &Lubm().store, "test-site");
+  DebugCheckPlan(plan, "test-site");
 #else
   CheckFailureHandler prev = SetCheckFailureHandler(&ThrowOnCheckFailure);
   try {
-    EXPECT_THROW(DebugCheckPlan(plan, &Lubm().store, "test-site"),
+    EXPECT_THROW(DebugCheckPlan(plan, "test-site"),
                  std::runtime_error);
   } catch (...) {
     SetCheckFailureHandler(prev);

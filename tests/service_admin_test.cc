@@ -280,5 +280,31 @@ TEST(ServiceAdminDatasetTest, PreambleOnlyForQueriesWithoutPrefixes) {
   EXPECT_EQ(WithPreamble("", "ASK { ?x ?p ?y }"), "ASK { ?x ?p ?y }");
 }
 
+// The number parsers the server's flags and the shell's `.threads` use:
+// the whole string must be the number.
+TEST(ServiceAdminParseTest, CountIsAWholePositiveInteger) {
+  size_t n = 0;
+  EXPECT_TRUE(ParseCount("1", &n));
+  EXPECT_EQ(n, 1u);
+  EXPECT_TRUE(ParseCount("65535", &n));
+  EXPECT_EQ(n, 65535u);
+  for (const char* bad : {"", "0", "abc", "x", "-1", "+1", " 1", "1 ", "8094x",
+                          "1.5", "99999999999999999999999"}) {
+    EXPECT_FALSE(ParseCount(bad, &n)) << "'" << bad << "'";
+  }
+}
+
+TEST(ServiceAdminParseTest, MsIsAWholeFiniteNonNegativeNumber) {
+  double ms = -1.0;
+  EXPECT_TRUE(ParseMs("0", &ms));
+  EXPECT_DOUBLE_EQ(ms, 0.0);
+  EXPECT_TRUE(ParseMs("12.5", &ms));
+  EXPECT_DOUBLE_EQ(ms, 12.5);
+  for (const char* bad :
+       {"", "abc", "-1", "-0.5", "nan", "inf", "1e999", "5ms", " 5", "5 "}) {
+    EXPECT_FALSE(ParseMs(bad, &ms)) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace rdfopt

@@ -30,11 +30,17 @@ class SnapshotTest : public ::testing::Test {
   /// by hand-written payload.
   std::ofstream Header(uint64_t num_terms) {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    const uint32_t version = 1;
+    const uint32_t version = 2;
     out.write("RDFO", 4);
     out.write(reinterpret_cast<const char*>(&version), sizeof(version));
     out.write(reinterpret_cast<const char*>(&num_terms), sizeof(num_terms));
     return out;
+  }
+
+  std::string Contents() const {
+    std::ifstream in(path_, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
   }
 
   std::string path_;
@@ -147,6 +153,45 @@ TEST_F(SnapshotTest, RejectsTermLengthBeyondFile) {
   EXPECT_NE(r.status().ToString().find("term length exceeds the file"),
             std::string::npos)
       << r.status().ToString();
+}
+
+// One flipped byte fails the checksum even where the parse alone would
+// accept the result: inside a term's text ("o2" becomes "o3", a new term)
+// and inside a triple (its subject id becomes the id of another term).
+TEST_F(SnapshotTest, RejectsFlippedByteInTermAndTriple) {
+  Graph original;
+  original.AddIri("http://ex/s", "http://ex/p", "http://ex/o1");
+  original.AddIri("http://ex/s", "http://ex/p", "http://ex/o2");
+  ASSERT_TRUE(SaveGraphSnapshot(original, path_).ok());
+  const std::string bytes = Contents();
+  const size_t in_term = bytes.find("http://ex/o2") + 11;
+  // The last data triple's subject, just before the 4-byte checksum.
+  const size_t in_triple = bytes.size() - 4 - 3 * sizeof(uint32_t);
+  const ValueId subject = original.dict().Lookup(Term::Iri("http://ex/s"));
+  ASSERT_EQ(static_cast<unsigned char>(bytes[in_triple]), subject);
+  ASSERT_LT(subject ^ 1u, original.dict().size());
+  for (size_t offset : {in_term, in_triple}) {
+    std::string corrupt = bytes;
+    corrupt[offset] ^= 0x01;
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    }
+    Result<Graph> r = LoadGraphSnapshot(path_);
+    ASSERT_FALSE(r.ok()) << "flipped byte at " << offset << " was accepted";
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_NE(r.status().ToString().find("checksum mismatch"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+// The trailer is the standard CRC-32, whose check value over "123456789" is
+// 0xCBF43926; feeding the bytes in two pieces gives the same CRC.
+TEST(SnapshotCrcTest, MatchesTheStandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32("6789", Crc32("12345")), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
 }
 
 // The save goes through `<path>.tmp` and a rename: when it cannot complete
